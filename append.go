@@ -33,13 +33,14 @@ func (s *Session) Append(rows [][]string) error {
 // are invalidated; untouched entries survive.
 //
 // The whole batch is validated before anything mutates, so a malformed
-// batch leaves the session untouched. After validation the batch
-// applies row by row; a mid-batch engine error (which cannot arise
-// from a validated row) drops the engine rather than serve skewed
-// counts. Every N appended rows (SetCutReevaluation) the discretizer
-// re-runs over the grown data; changed cuts rebuild the working
-// dataset and the engine with the remembered Discretize/BuildCubes
-// configurations.
+// batch leaves the session untouched. After validation the rows append
+// one by one, then the counting kernel folds the appended row range
+// into every resident cube in one scan; an engine error there (which
+// cannot arise from a validated row) drops the engine rather than
+// serve skewed counts. Every N appended rows (SetCutReevaluation) the
+// discretizer re-runs over the grown data; changed cuts rebuild the
+// working dataset and the engine with the remembered
+// Discretize/BuildCubes configurations.
 func (s *Session) AppendContext(ctx context.Context, rows [][]string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -81,31 +82,22 @@ func (s *Session) appendLocked(ctx context.Context, rows [][]string) error {
 	classIdx := s.raw.ClassIndex()
 	restored := s.restoredDiscretized()
 	touched := make(map[int]bool)
-	// Coded rows accumulate here and fold into the resident engine in
-	// one batched pass (Store/LazySource IngestRows, the additive-merge
-	// primitive): the dictionaries are fully grown by then, so each cube
-	// pays one SyncDims per batch instead of one per row. Any early
-	// return must flush the accumulated prefix first so the engine's
-	// counts match the rows already appended to the dataset.
-	var (
-		pending [][]int32
-		classes []int32
-	)
-	applyPending := func() error {
-		if len(pending) == 0 {
-			return nil
-		}
-		err := s.applyRowsToEngine(pending, classes)
-		pending, classes = nil, nil
-		return err
+	n0 := 0
+	if s.ds != nil {
+		n0 = s.ds.NumRows()
 	}
-	// bail ends the batch early: the applied prefix stays applied and
-	// consistent (engine folded, caches invalidated), err is returned.
-	// An engine error while folding (which cannot arise from a validated
-	// row) drops the engine rather than serve skewed counts.
-	bail := func(err error) error {
-		if aerr := applyPending(); aerr != nil {
+	// finish ends the batch, early or not: the appended rows
+	// [n0, NumRows()) fold into the resident engine in one kernel scan
+	// (the dictionaries are fully grown by then, so each cube grows at
+	// most once per batch), the touched attributes' cached results are
+	// invalidated, and err is returned. A fold error drops the engine
+	// rather than serve skewed counts.
+	finish := func(err error) error {
+		if ferr := s.foldAppended(ctx, n0); ferr != nil {
 			s.dropEngine()
+			if err == nil {
+				err = ferr
+			}
 		}
 		s.flushTouched(touched)
 		return err
@@ -114,7 +106,7 @@ func (s *Session) appendLocked(ctx context.Context, rows [][]string) error {
 		if err := ctx.Err(); err != nil {
 			// Already-applied rows of the batch stay applied and
 			// consistent; the caller decides whether to re-send the rest.
-			return bail(err)
+			return finish(err)
 		}
 		if !restored {
 			// Restored sessions share one dataset between raw and working
@@ -123,31 +115,24 @@ func (s *Session) appendLocked(ctx context.Context, rows [][]string) error {
 			// categorical labels in the interval dictionaries).
 			if err := s.raw.AppendRow(row); err != nil {
 				// Unreachable after validateBatch; fail loudly if it isn't.
-				return bail(err)
+				return finish(err)
 			}
 		}
 		codes, err := s.appendWorkingRow(row, floats[r])
 		if err != nil {
-			return bail(err)
+			return finish(err)
 		}
-		if codes != nil {
-			pending = append(pending, codes)
-			classes = append(classes, codes[classIdx])
-			for i, c := range codes {
-				if i != classIdx && c >= 0 {
-					touched[i] = true
-				}
+		for i, c := range codes {
+			if i != classIdx && c >= 0 {
+				touched[i] = true
 			}
 		}
 		s.noteDeltas(floats[r])
 		s.sinceCutEval++
 	}
-	if err := applyPending(); err != nil {
-		s.flushTouched(touched)
-		s.dropEngine()
+	if err := finish(nil); err != nil {
 		return err
 	}
-	s.flushTouched(touched)
 	return s.maybeReevalCuts(ctx)
 }
 
@@ -267,22 +252,19 @@ func (s *Session) appendWorkingRow(row []string, fr []float64) ([]int32, error) 
 	return codes, s.ds.AppendCodedRow(codes, nil)
 }
 
-// applyRowsToEngine folds a batch of coded rows into whichever cube
-// engine is resident, via the rulecube additive-merge primitive. No
-// engine means nothing to maintain: cubes built later count the grown
-// dataset anyway.
-func (s *Session) applyRowsToEngine(rows [][]int32, classes []int32) error {
-	if s.store != nil {
-		if err := s.store.IngestRows(rows, classes); err != nil {
-			return err
-		}
+// foldAppended folds the working dataset's rows from n0 on into the
+// resident engine's cubes with the counting kernel. The fold ignores
+// ctx's cancellation: the rows are already appended, so a half-folded
+// engine would serve skewed counts. No engine means nothing to
+// maintain: cubes built later count the grown dataset anyway.
+func (s *Session) foldAppended(ctx context.Context, n0 int) error {
+	f, ok := s.src.(interface {
+		FoldRows(ctx context.Context, lo, hi int) error
+	})
+	if !ok || s.ds == nil {
+		return nil
 	}
-	if s.lazy != nil {
-		if err := s.lazy.IngestRows(rows, classes); err != nil {
-			return err
-		}
-	}
-	return nil
+	return f.FoldRows(context.WithoutCancel(ctx), n0, s.ds.NumRows())
 }
 
 // noteDeltas advances the per-attribute discretization delta counters

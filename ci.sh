@@ -99,6 +99,22 @@ for want in \
         exit 1
     fi
 done
+# The eager store build is one shared scan: a single dataset pass
+# counted every 1-D cube and every pair cube (attributes + pairs), and
+# the sweep and compare served from the store without scanning.
+"$smokedir/opmapd" -probe "$addr/api/overview" >"$smokedir/overview"
+class=$(sed -n 's/^  "class": "\(.*\)",$/\1/p' "$smokedir/overview")
+nattrs=$(awk '/"attributes": \[/{f=1;next} f&&/\]/{f=0} f{print}' "$smokedir/overview" \
+    | grep -vcF "\"$class\"")
+for want in \
+    'opmap_cube_scans_total 1' \
+    "opmap_cubes_built_total $((nattrs + nattrs * (nattrs - 1) / 2))"; do
+    if ! grep -qxF "$want" "$smokedir/metrics"; then
+        echo "one-scan store build gate failed: want '$want' ($nattrs attributes)" >&2
+        grep -E 'opmap_cube(s_built|_scans)_total' "$smokedir/metrics" >&2
+        exit 1
+    fi
+done
 kill -TERM "$opmapd_pid"
 if ! wait "$opmapd_pid"; then
     echo "opmapd did not drain cleanly on SIGTERM:" >&2

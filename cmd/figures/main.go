@@ -16,12 +16,14 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"runtime"
 	"strings"
 	"time"
 
 	"opmap/internal/baseline"
 	"opmap/internal/car"
 	"opmap/internal/compare"
+	"opmap/internal/dataset"
 	"opmap/internal/gi"
 	"opmap/internal/rulecube"
 	"opmap/internal/stats"
@@ -299,21 +301,17 @@ func fig9(seed int64, records, maxAttrs int) {
 func fig10(seed int64, records, maxAttrs int) {
 	header("Fig. 10 — cube generation time vs #attributes")
 	fmt.Printf("(records: %d; paper used 2,000,000 — pass -records to match.\n", records)
-	fmt.Println(" serial matches the paper's single-threaded generator; the parallel")
-	fmt.Println(" column is this implementation's extension)")
+	fmt.Println(" serial runs the one-scan store build under GOMAXPROCS=1, like the")
+	fmt.Println(" paper's single-threaded generator; the parallel column lets the scan")
+	fmt.Println(" split rows across every core, this implementation's extension)")
 	fmt.Println("attrs    cubes      serial          parallel")
 	for n := 40; n <= maxAttrs; n += 40 {
 		ds, err := workload.Scale(workload.ScaleConfig{Seed: seed, Records: records, Attrs: n})
 		if err != nil {
 			log.Fatal(err)
 		}
+		store, serial := serialStoreBuild(ds)
 		start := time.Now()
-		store, err := rulecube.BuildStore(ds, rulecube.StoreOptions{Parallelism: 1})
-		if err != nil {
-			log.Fatal(err)
-		}
-		serial := time.Since(start)
-		start = time.Now()
 		if _, err := rulecube.BuildStore(ds, rulecube.StoreOptions{}); err != nil {
 			log.Fatal(err)
 		}
@@ -333,15 +331,25 @@ func fig11(seed int64, baseRecords, attrs int) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("records      time (serial, as the paper)")
+	fmt.Println("records      time (serial under GOMAXPROCS=1, as the paper)")
 	for factor := 1; factor <= 4; factor++ {
 		ds := base.Duplicate(factor)
-		start := time.Now()
-		if _, err := rulecube.BuildStore(ds, rulecube.StoreOptions{Parallelism: 1}); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("%9d    %v\n", ds.NumRows(), time.Since(start))
+		_, serial := serialStoreBuild(ds)
+		fmt.Printf("%9d    %v\n", ds.NumRows(), serial)
 	}
+}
+
+// serialStoreBuild times one store build confined to a single core
+// (GOMAXPROCS=1, so the scan takes no row shards).
+func serialStoreBuild(ds *dataset.Dataset) (*rulecube.Store, time.Duration) {
+	old := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(old)
+	start := time.Now()
+	store, err := rulecube.BuildStore(ds, rulecube.StoreOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	return store, time.Since(start)
 }
 
 // printHead prints at most n lines of s.

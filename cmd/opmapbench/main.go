@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -136,9 +137,10 @@ func benchCalib() (calibBench, error) {
 // calibration canaries cannot catch when the contention is
 // intermittent rather than sustained. The fastest observation is the
 // one least polluted by scheduler noise, so it is the number two
-// artifacts can fairly compare. The batch section stays single-run:
-// its gated figures are ratios of two timings from the same run, so
-// shared noise divides out.
+// artifacts can fairly compare. The batch section runs once, but its
+// two gated build timings repeat interleaved inside it (see
+// benchBatch): a ratio divides out sustained noise, not a pause that
+// lands inside one of two millisecond-scale shots.
 const bestOfRuns = 3
 
 // keepMin lowers *dst to v when v is smaller.
@@ -485,37 +487,39 @@ func benchBatch(ctx context.Context, records int, seed int64) (batchBench, error
 	scans := obsv.Default().Counter(rulecube.CubeScansCounterName)
 
 	// The sweep's declared working set, as prefetched by the batch path.
-	reqs := []rulecube.CubeReq{{A: attr, B: -1}}
+	reqs := [][]int{{attr}}
 	for ai := 0; ai < ds.NumAttrs(); ai++ {
 		if ai == attr || ai == ds.ClassIndex() {
 			continue
 		}
-		reqs = append(reqs, rulecube.CubeReq{A: attr, B: ai})
+		reqs = append(reqs, []int{attr, ai})
 	}
 	bb.Cubes = int64(len(reqs))
 
-	// Per-pair rebuild baseline: N independent counted builds, one full
-	// dataset scan each — the cost model the batch engine replaces.
-	s0 := scans.Value()
-	start := time.Now()
-	for _, rq := range reqs {
-		attrs := []int{rq.A}
-		if rq.B >= 0 {
-			attrs = []int{rq.A, rq.B}
+	// Per-pair rebuild baseline — N independent single-request builds,
+	// one full dataset scan each, the cost model the batch engine
+	// replaces — against the same working set from one shared scan.
+	// Both are millisecond-scale single shots whose ratio is gated, so
+	// each keeps the fastest of bestOfRuns interleaved rounds: one GC
+	// pause or preemption inside either shot would otherwise decide it.
+	bb.PerPairBuildMs, bb.BatchBuildMs = math.MaxFloat64, math.MaxFloat64
+	for round := 0; round < bestOfRuns; round++ {
+		s0 := scans.Value()
+		start := time.Now()
+		for _, rq := range reqs {
+			if _, err := rulecube.BuildMany(ctx, ds, [][]int{rq}); err != nil {
+				return bb, err
+			}
 		}
-		if _, err := rulecube.BuildCube(ds, attrs); err != nil {
+		keepMin(&bb.PerPairBuildMs, msSince(start))
+		bb.PerPairScans = scans.Value() - s0
+
+		start = time.Now()
+		if _, err := rulecube.BuildMany(ctx, ds, reqs); err != nil {
 			return bb, err
 		}
+		keepMin(&bb.BatchBuildMs, msSince(start))
 	}
-	bb.PerPairBuildMs = msSince(start)
-	bb.PerPairScans = scans.Value() - s0
-
-	// The same working set from one shared scan.
-	start = time.Now()
-	if _, err := rulecube.BuildMany(ctx, ds, reqs); err != nil {
-		return bb, err
-	}
-	bb.BatchBuildMs = msSince(start)
 
 	// Sequential sweep on a cold lazy engine: one build per cube, but
 	// cubes are cached and reused across the value pairs.
@@ -523,8 +527,8 @@ func benchBatch(ctx context.Context, records int, seed int64) (batchBench, error
 	if err != nil {
 		return bb, err
 	}
-	s0 = scans.Value()
-	start = time.Now()
+	s0 := scans.Value()
+	start := time.Now()
 	if _, err := compare.NewSource(seqEng).SweepContext(ctx, attr, cls, compare.SweepOptions{DisableBatch: true}); err != nil {
 		return bb, err
 	}

@@ -22,7 +22,7 @@ func TestBuildCubesContextCancel(t *testing.T) {
 		t.Fatal(err)
 	}
 	disarm, err := faultinject.Arm(faultinject.Fault{
-		Site:  faultinject.SiteCubeBuildPair,
+		Site:  faultinject.SiteCubeBatch,
 		Kind:  faultinject.Delay,
 		Delay: 50 * time.Millisecond,
 	})

@@ -24,13 +24,13 @@ func TestCubesOracle(t *testing.T) {
 	if other == phone || other == dist {
 		other = 1
 	}
-	reqs := []engine.CubeReq{
-		{A: phone, B: -1},
-		{A: phone, B: dist},
-		{A: dist, B: phone}, // same cube, reversed request order
-		{A: other, B: -1},
-		{A: phone, B: other},
-		{A: phone, B: dist}, // duplicate
+	reqs := [][]int{
+		{phone},
+		{phone, dist},
+		{dist, phone}, // same cube, reversed request order
+		{other},
+		{phone, other},
+		{phone, dist}, // duplicate
 	}
 	for _, src := range []engine.CubeSource{eager, lazy} {
 		got, err := src.Cubes(ctx, reqs)
@@ -42,16 +42,16 @@ func TestCubesOracle(t *testing.T) {
 		}
 		for i, q := range reqs {
 			var want *rulecube.Cube
-			if q.B < 0 {
-				want, err = src.Cube1(ctx, q.A)
+			if len(q) == 1 {
+				want, err = src.Cube1(ctx, q[0])
 			} else {
-				want, err = src.Cube2(ctx, q.A, q.B)
+				want, err = src.Cube2(ctx, q[0], q[1])
 			}
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(got[i], want) {
-				t.Errorf("req %d (%+v): bulk cube differs from single-cube path", i, q)
+				t.Errorf("req %d (%v): bulk cube differs from single-cube path", i, q)
 			}
 		}
 		if got[1] != got[2] || got[1] != got[5] {
@@ -61,23 +61,26 @@ func TestCubesOracle(t *testing.T) {
 }
 
 // TestCubesValidation mirrors the single-cube contract on the bulk
-// path: out-of-range, class and self-pair requests are errors, and an
-// empty request list is a no-op.
+// path: out-of-range, class, self-pair and empty-set requests are
+// errors, and an empty request list is a no-op.
 func TestCubesValidation(t *testing.T) {
-	ds, _, _, lazy := oracle(t)
+	ds, _, eager, lazy := oracle(t)
 	ctx := context.Background()
 	cls := ds.ClassIndex()
 	for _, tc := range []struct {
 		name string
-		reqs []engine.CubeReq
+		reqs [][]int
 	}{
-		{"out of range", []engine.CubeReq{{A: ds.NumAttrs(), B: -1}}},
-		{"class 1-D", []engine.CubeReq{{A: cls, B: -1}}},
-		{"class pair", []engine.CubeReq{{A: 0, B: cls}}},
-		{"self pair", []engine.CubeReq{{A: 1, B: 1}}},
+		{"out of range", [][]int{{ds.NumAttrs()}}},
+		{"class 1-D", [][]int{{cls}}},
+		{"class pair", [][]int{{0, cls}}},
+		{"self pair", [][]int{{1, 1}}},
+		{"empty set", [][]int{{}}},
 	} {
-		if _, err := lazy.Cubes(ctx, tc.reqs); err == nil {
-			t.Errorf("%s: expected error", tc.name)
+		for _, src := range []engine.CubeSource{eager, lazy} {
+			if _, err := src.Cubes(ctx, tc.reqs); err == nil {
+				t.Errorf("%s (%T): expected error", tc.name, src)
+			}
 		}
 	}
 	out, err := lazy.Cubes(ctx, nil)
@@ -92,13 +95,12 @@ func TestCubesValidation(t *testing.T) {
 func TestCubesSharedScan(t *testing.T) {
 	ds, _, _, lazy := oracle(t)
 	ctx := context.Background()
-	var reqs []engine.CubeReq
-	reqs = append(reqs, engine.CubeReq{A: 0, B: -1})
+	reqs := [][]int{{0}}
 	for a := 1; a < ds.NumAttrs(); a++ {
 		if a == ds.ClassIndex() {
 			continue
 		}
-		reqs = append(reqs, engine.CubeReq{A: 0, B: a}, engine.CubeReq{A: a, B: -1})
+		reqs = append(reqs, []int{0, a}, []int{a})
 	}
 	scans := obsv.Default().Counter(rulecube.CubeScansCounterName)
 	s0 := scans.Value()
@@ -126,13 +128,13 @@ func TestCubesSingleflightWithSingles(t *testing.T) {
 	ctx := context.Background()
 	phone := ds.AttrIndex(gt.PhoneAttr)
 	var pairs [][2]int
-	var reqs []engine.CubeReq
+	var reqs [][]int
 	for a := 0; a < ds.NumAttrs(); a++ {
 		if a == ds.ClassIndex() || a == phone {
 			continue
 		}
 		pairs = append(pairs, [2]int{phone, a})
-		reqs = append(reqs, engine.CubeReq{A: phone, B: a})
+		reqs = append(reqs, []int{phone, a})
 	}
 	var wg sync.WaitGroup
 	errs := make(chan error, 16)

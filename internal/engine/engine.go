@@ -72,34 +72,6 @@ func PreRegister(reg *obsv.Registry) {
 	reg.Histogram(BatchBuildHistogramName, nil)
 }
 
-// CubeReq names one cube of a bulk request: the 1-D (attr × class)
-// cube when B is negative, the pair cube over {A, B} otherwise. Unlike
-// rulecube.CubeReq, pair order does not matter: Cubes returns the
-// normalized (min, max) cube either way, matching Cube2. Attrs, when
-// non-empty, supersedes A/B and requests the cube over an arbitrary
-// attribute set (any order; the served cube's dimensions are the set
-// in ascending order, matching CubeN).
-type CubeReq struct {
-	A int
-	B int
-	// Attrs is the n-D request form; nil keeps the two-field form.
-	Attrs []int
-}
-
-// CubeReqOf builds the n-D form of a bulk request.
-func CubeReqOf(attrs []int) CubeReq { return CubeReq{A: -1, B: -1, Attrs: attrs} }
-
-// attrList returns the request's effective attribute list.
-func (q CubeReq) attrList() []int {
-	if len(q.Attrs) > 0 {
-		return q.Attrs
-	}
-	if q.B < 0 {
-		return []int{q.A}
-	}
-	return []int{q.A, q.B}
-}
-
 // CubeSource is the engine contract: read access to the rule cubes of
 // one dataset snapshot, from the 1-D (attribute × class) cubes up to
 // arbitrary attribute sets. Implementations must be safe for
@@ -126,13 +98,15 @@ type CubeSource interface {
 	// drill-down path.
 	CubeN(ctx context.Context, attrs []int) (*rulecube.Cube, error)
 	// Cubes resolves a batch of cube requests at once, returning the
-	// cubes in request order. A lazy source answers every cache miss
-	// from one shared dataset scan (rulecube.BuildMany) instead of one
-	// scan per cube; an eager source answers from the store. Callers
+	// cubes in request order. Each request is an attribute set, read as
+	// CubeN reads it (any order; an empty set is an error). A lazy
+	// source answers every cache miss from one shared dataset scan
+	// (rulecube.BuildMany) instead of one scan per cube; an eager
+	// source answers from the store. Callers
 	// that know their full cube needs up front (a sweep, a one-vs-rest
 	// over all values, a drill-down frontier expansion) should declare
 	// them here rather than faulting cubes in one at a time.
-	Cubes(ctx context.Context, reqs []CubeReq) ([]*rulecube.Cube, error)
+	Cubes(ctx context.Context, reqs [][]int) ([]*rulecube.Cube, error)
 }
 
 // Eager adapts a fully materialized rulecube.Store to CubeSource. For
@@ -241,29 +215,17 @@ func (e *Eager) ndSource() (*LazySource, error) {
 // materialized, so those requests are store lookups; k ≥ 3 requests
 // are forwarded as one bulk request to the internal lazy source so
 // its cache misses share a single dataset scan.
-func (e *Eager) Cubes(ctx context.Context, reqs []CubeReq) ([]*rulecube.Cube, error) {
+func (e *Eager) Cubes(ctx context.Context, reqs [][]int) ([]*rulecube.Cube, error) {
 	out := make([]*rulecube.Cube, len(reqs))
 	var ndPos []int
-	var ndReqs []CubeReq
-	for i, q := range reqs {
-		attrs := q.attrList()
+	var ndReqs [][]int
+	for i, attrs := range reqs {
 		if len(attrs) >= 3 {
 			ndPos = append(ndPos, i)
-			ndReqs = append(ndReqs, q)
+			ndReqs = append(ndReqs, attrs)
 			continue
 		}
-		var (
-			c   *rulecube.Cube
-			err error
-		)
-		if len(attrs) == 1 {
-			c, err = e.Cube1(ctx, attrs[0])
-		} else {
-			if attrs[0] == attrs[1] {
-				return nil, fmt.Errorf("engine: pair cube needs two distinct attributes, got (%d,%d)", attrs[0], attrs[1])
-			}
-			c, err = e.Cube2(ctx, attrs[0], attrs[1])
-		}
+		c, err := e.CubeN(ctx, attrs)
 		if err != nil {
 			return nil, err
 		}
@@ -286,6 +248,37 @@ func (e *Eager) Cubes(ctx context.Context, reqs []CubeReq) ([]*rulecube.Cube, er
 		}
 	}
 	return out, nil
+}
+
+// FoldRows adds rows [lo, hi) — appended after the cubes were counted
+// — into the store's cubes and the resident k ≥ 3 cubes, through the
+// counting kernel (rulecube.FoldRows). Callers must ensure no query
+// reads cube counts concurrently (the Session ingest lock provides
+// this).
+func (e *Eager) FoldRows(ctx context.Context, lo, hi int) error {
+	if e.store == nil {
+		return nil
+	}
+	if err := e.store.FoldRows(ctx, lo, hi); err != nil {
+		return err
+	}
+	e.ndMu.Lock()
+	nd := e.nd
+	e.ndMu.Unlock()
+	if nd == nil {
+		return nil
+	}
+	return nd.FoldRows(ctx, lo, hi)
+}
+
+// Close releases the internal k ≥ 3 cache, if one was created (see
+// LazySource.Close). The store itself holds no shared accounting.
+func (e *Eager) Close() {
+	e.ndMu.Lock()
+	defer e.ndMu.Unlock()
+	if e.nd != nil {
+		e.nd.Close()
+	}
 }
 
 // normalizeAttrs validates and defaults a source attribute list the

@@ -3,15 +3,18 @@ package engine_test
 import (
 	"bytes"
 	"context"
+	"errors"
 	"reflect"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"opmap/internal/compare"
 	"opmap/internal/dataset"
 	"opmap/internal/drill"
 	"opmap/internal/engine"
+	"opmap/internal/faultinject"
 	"opmap/internal/obsv"
 	"opmap/internal/rulecube"
 	"opmap/internal/testutil"
@@ -158,6 +161,59 @@ func TestOracleOneD(t *testing.T) {
 		if !reflect.DeepEqual(ec, lc) {
 			t.Errorf("1-D cube for attribute %d differs between engines", a)
 		}
+	}
+}
+
+// TestFollowerSurvivesCanceledLeader: a request that joined a build
+// whose leading request is canceled mid-build gets the cube, not the
+// leader's context error.
+func TestFollowerSurvivesCanceledLeader(t *testing.T) {
+	defer testutil.VerifyNoLeak(t)()
+	defer faultinject.Reset()
+	_, _, eager, lazy := oracle(t)
+	// Hold the leader's build at the scan's entry until it is canceled.
+	disarm, err := faultinject.Arm(faultinject.Fault{Site: faultinject.SiteCubeBatch, Kind: faultinject.Delay, Delay: time.Minute, Times: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer disarm()
+	waitMisses := func(n int64) {
+		for lazy.Stats().Misses < n {
+			time.Sleep(time.Millisecond)
+		}
+	}
+	leaderCtx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	leaderErr := make(chan error, 1)
+	go func() {
+		_, err := lazy.Cube2(leaderCtx, 0, 1)
+		leaderErr <- err
+	}()
+	waitMisses(1) // the leader's flight is registered
+	type result struct {
+		cube *rulecube.Cube
+		err  error
+	}
+	follower := make(chan result, 1)
+	go func() {
+		c, err := lazy.Cube2(context.Background(), 0, 1)
+		follower <- result{c, err}
+	}()
+	waitMisses(2) // the follower has joined the flight
+	cancel()
+	if err := <-leaderErr; !errors.Is(err, context.Canceled) {
+		t.Fatalf("leader err = %v, want context.Canceled", err)
+	}
+	got := <-follower
+	if got.err != nil {
+		t.Fatalf("follower failed with its leader's error: %v", got.err)
+	}
+	want, err := eager.Cube2(context.Background(), 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.cube, want) {
+		t.Error("follower's cube differs from the eager cube")
 	}
 }
 

@@ -3,6 +3,7 @@ package engine
 import (
 	"container/list"
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"strconv"
@@ -270,7 +271,7 @@ func (s *LazySource) lookupOrBuild(ctx context.Context, attrs []int) (*rulecube.
 // the caches, and every registered flight is released — so concurrent
 // bulk and single-cube requests for the same key still collapse into
 // one build. Joined flights are waited on afterwards under ctx.
-func (s *LazySource) Cubes(ctx context.Context, reqs []CubeReq) ([]*rulecube.Cube, error) {
+func (s *LazySource) Cubes(ctx context.Context, reqs [][]int) ([]*rulecube.Cube, error) {
 	out := make([]*rulecube.Cube, len(reqs))
 	items, err := s.batchItems(reqs)
 	if err != nil {
@@ -285,10 +286,14 @@ func (s *LazySource) Cubes(ctx context.Context, reqs []CubeReq) ([]*rulecube.Cub
 	for _, w := range part.waits {
 		select {
 		case <-w.f.done:
-			if w.f.err != nil {
-				return nil, w.f.err
+			c, err := w.f.cube, w.f.err
+			if leaderGaveUp(ctx, err) {
+				c, err = s.CubeN(ctx, items[w.pos].attrs)
 			}
-			out[w.pos] = w.f.cube
+			if err != nil {
+				return nil, err
+			}
+			out[w.pos] = c
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
@@ -304,36 +309,13 @@ type batchItem struct {
 }
 
 // batchItems validates a bulk request list against the served set and
-// normalizes each entry — either request form — to its cache key and
-// sorted attribute list.
-func (s *LazySource) batchItems(reqs []CubeReq) ([]batchItem, error) {
+// normalizes each attribute set to its cache key and sorted list.
+func (s *LazySource) batchItems(reqs [][]int) ([]batchItem, error) {
 	items := make([]batchItem, len(reqs))
-	for i, q := range reqs {
-		var norm []int
-		switch {
-		case len(q.Attrs) > 0:
-			n, err := s.normalizeSet(q.Attrs)
-			if err != nil {
-				return nil, err
-			}
-			norm = n
-		case q.B < 0:
-			if !s.inSet[q.A] {
-				return nil, fmt.Errorf("engine: no cube for attribute %d", q.A)
-			}
-			norm = []int{q.A}
-		default:
-			if q.A == q.B {
-				return nil, fmt.Errorf("engine: pair cube needs two distinct attributes, got (%d,%d)", q.A, q.B)
-			}
-			if !s.inSet[q.A] || !s.inSet[q.B] {
-				return nil, fmt.Errorf("engine: no pair cube for attributes (%d,%d)", q.A, q.B)
-			}
-			a, b := q.A, q.B
-			if a > b {
-				a, b = b, a
-			}
-			norm = []int{a, b}
+	for i, attrs := range reqs {
+		norm, err := s.normalizeSet(attrs)
+		if err != nil {
+			return nil, err
 		}
 		items[i] = batchItem{key: keyOf(norm), attrs: norm}
 	}
@@ -416,7 +398,7 @@ func (s *LazySource) partitionBatch(items []batchItem, out []*rulecube.Cube) *ba
 // cached, matching the single-build path.
 func (s *LazySource) buildBatch(ctx context.Context, part *batchPartition, out []*rulecube.Cube) error {
 	start := time.Now()
-	cubes, err := rulecube.BuildMany(ctx, s.ds, batchCubeReqs(part.toBuild))
+	cubes, err := rulecube.BuildMany(ctx, s.ds, itemAttrs(part.toBuild))
 	if err != nil {
 		s.failFlights(part, err)
 		return err
@@ -426,14 +408,13 @@ func (s *LazySource) buildBatch(ctx context.Context, part *batchPartition, out [
 	return nil
 }
 
-// batchCubeReqs converts normalized batch items back into rulecube
-// requests (the n-D form covers every arity).
-func batchCubeReqs(toBuild []batchItem) []rulecube.CubeReq {
-	rreqs := make([]rulecube.CubeReq, len(toBuild))
-	for i, it := range toBuild {
-		rreqs[i] = rulecube.CubeReqOf(it.attrs)
+// itemAttrs lists the normalized attribute sets of batch items.
+func itemAttrs(items []batchItem) [][]int {
+	reqs := make([][]int, len(items))
+	for i, it := range items {
+		reqs[i] = it.attrs
 	}
-	return rreqs
+	return reqs
 }
 
 // failFlights releases every flight this call leads with the shared
@@ -472,11 +453,16 @@ func (s *LazySource) commitBatch(part *batchPartition, cubes []*rulecube.Cube, o
 // the lock held on success), removes the flight and closes done.
 // Followers wait for done or their own ctx; an abandoned wait leaves
 // the build running — its result is still cached for the next caller.
+// A follower whose leader was canceled mid-build looks the cube up
+// again under its own ctx.
 func (s *LazySource) build(ctx context.Context, key cubeKey, attrs []int, commit func(*rulecube.Cube)) (*rulecube.Cube, error) {
 	if f, ok := s.flights[key]; ok {
 		s.mu.Unlock()
 		select {
 		case <-f.done:
+			if leaderGaveUp(ctx, f.err) {
+				return s.CubeN(ctx, attrs)
+			}
 			return f.cube, f.err
 		case <-ctx.Done():
 			return nil, ctx.Err()
@@ -486,25 +472,32 @@ func (s *LazySource) build(ctx context.Context, key cubeKey, attrs []int, commit
 	s.flights[key] = f
 	s.mu.Unlock()
 
-	if err := ctx.Err(); err != nil {
-		// Canceled before the data pass: publish the error so queued
-		// followers fail fast too; nothing is cached.
+	// A failed or canceled build publishes its error so queued followers
+	// fail fast too; nothing is cached.
+	start := time.Now()
+	cubes, err := rulecube.BuildMany(ctx, s.ds, [][]int{attrs})
+	if err != nil {
 		s.finish(key, f, nil, err)
 		return nil, err
 	}
-	start := time.Now()
-	cube, err := rulecube.BuildCube(s.ds, attrs)
-	if err == nil {
-		obsv.Default().Histogram(LazyBuildHistogramName, nil).ObserveSince(start)
-	}
-	s.finish(key, f, cube, err)
-	if err != nil {
-		return nil, err
-	}
+	obsv.Default().Histogram(LazyBuildHistogramName, nil).ObserveSince(start)
+	cube := cubes[0]
+	// Cache before retiring the flight, so a request arriving in between
+	// finds one or the other and never starts a second build.
 	s.mu.Lock()
 	commit(cube)
 	s.mu.Unlock()
+	s.finish(key, f, cube, nil)
 	return cube, nil
+}
+
+// leaderGaveUp reports whether a joined flight failed only because its
+// leading request's context ended — the scan stops between row blocks
+// on a cancel — while this caller's context is still live, so the
+// caller should look the cube up again rather than fail with an error
+// that is not its own.
+func leaderGaveUp(ctx context.Context, err error) bool {
+	return ctx.Err() == nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded))
 }
 
 // finish publishes a flight's outcome and retires it. Errors are not
@@ -638,57 +631,50 @@ func (s *LazySource) SeedCubes(cubes []*rulecube.Cube) (int, error) {
 	return seeded, nil
 }
 
-// ApplyRow folds one appended record into every resident cube; it is
-// IngestRows for a single-row batch.
-func (s *LazySource) ApplyRow(rowCodes []int32, class int32) error {
-	return s.IngestRows([][]int32{rowCodes}, []int32{class})
-}
-
-// IngestRows folds a batch of appended records into every resident
-// cube — pinned 1-D cubes and cached 2-D cubes alike — growing
-// dimensions where the batch registered new labels (one SyncDims per
-// cube per batch, not per row) and re-accounting LRU bytes (a grown
-// cube is bigger; the budget may evict). Non-resident cubes need
-// nothing: they materialize later from the already-updated dataset.
-// Each row is the full working-dataset row indexed by attribute index,
-// with classes the parallel class codes; the delta application routes
-// through rulecube's additive-merge primitive. Callers must ensure no
-// query is concurrently reading cube counts (the Session ingest lock
+// FoldRows adds rows [lo, hi) of the dataset — appended after the
+// resident cubes were counted — into every resident cube, pinned 1-D
+// and cached k ≥ 2 alike, with one shared scan (rulecube.FoldRows),
+// then re-accounts LRU bytes (a cube grown by new labels is bigger; the
+// budget may evict). Non-resident cubes need nothing: they materialize
+// later from the already-grown dataset. Callers must ensure no query
+// is concurrently reading cube counts (the Session ingest lock
 // provides this); the source's own lock only protects the cache
 // structures.
-func (s *LazySource) IngestRows(rows [][]int32, classes []int32) error {
+func (s *LazySource) FoldRows(ctx context.Context, lo, hi int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if err := rulecube.FoldRows(ctx, s.ds, s.residentLocked(), lo, hi); err != nil {
+		return err
+	}
+	s.resizeLocked()
+	return nil
+}
+
+// residentLocked lists every resident cube, pinned 1-D then LRU.
+// Called with s.mu held.
+func (s *LazySource) residentLocked() []*rulecube.Cube {
+	cubes := make([]*rulecube.Cube, 0, len(s.oneD)+s.order.Len())
 	for _, c := range s.oneD {
-		c.SyncDims()
-		if _, err := c.IngestRows(rows, classes); err != nil {
-			return err
-		}
+		cubes = append(cubes, c)
 	}
 	for el := s.order.Front(); el != nil; el = el.Next() {
+		cubes = append(cubes, el.Value.(*lruEntry).cube)
+	}
+	return cubes
+}
+
+// resizeLocked re-accounts LRU entries whose cubes grew, then evicts
+// down to the budget. Called with s.mu held.
+func (s *LazySource) resizeLocked() {
+	var grown int64
+	for el := s.order.Front(); el != nil; el = el.Next() {
 		e := el.Value.(*lruEntry)
-		e.cube.SyncDims()
-		if _, err := e.cube.IngestRows(rows, classes); err != nil {
-			return err
-		}
-		if grown := e.cube.SizeBytes(); grown != e.size {
-			s.bytes += grown - e.size
-			e.size = grown
-		}
+		size := e.cube.SizeBytes()
+		grown += size - e.size
+		e.size = size
 	}
-	if s.budget >= 0 {
-		for s.bytes > s.budget && s.order.Len() > 0 {
-			tail := s.order.Back()
-			ev := tail.Value.(*lruEntry)
-			s.order.Remove(tail)
-			delete(s.nd, ev.key)
-			s.bytes -= ev.size
-			s.evictions.Add(1)
-			obsv.Default().Counter(CubeCacheEvictionsCounterName).Inc()
-		}
-	}
-	obsv.Default().Gauge(CubeCacheBytesGaugeName).Set(s.bytes)
-	return nil
+	s.addBytes(grown)
+	s.evictOverBudget()
 }
 
 // insertND records a freshly built k ≥ 2 cube and evicts from the LRU
@@ -705,17 +691,50 @@ func (s *LazySource) insertND(key cubeKey, attrs []int, c *rulecube.Cube) {
 	}
 	e := &lruEntry{key: key, attrs: append([]int(nil), attrs...), cube: c, size: c.SizeBytes()}
 	s.nd[key] = s.order.PushFront(e)
-	s.bytes += e.size
-	if s.budget >= 0 {
-		for s.bytes > s.budget && s.order.Len() > 0 {
-			tail := s.order.Back()
-			ev := tail.Value.(*lruEntry)
-			s.order.Remove(tail)
-			delete(s.nd, ev.key)
-			s.bytes -= ev.size
-			s.evictions.Add(1)
-			obsv.Default().Counter(CubeCacheEvictionsCounterName).Inc()
-		}
+	s.addBytes(e.size)
+	s.evictOverBudget()
+}
+
+// evictOverBudget drops LRU-tail cubes until the byte budget holds.
+// Called with s.mu held.
+func (s *LazySource) evictOverBudget() {
+	if s.budget < 0 {
+		return
 	}
-	obsv.Default().Gauge(CubeCacheBytesGaugeName).Set(s.bytes)
+	for s.bytes > s.budget && s.order.Len() > 0 {
+		tail := s.order.Back()
+		ev := tail.Value.(*lruEntry)
+		s.order.Remove(tail)
+		delete(s.nd, ev.key)
+		s.addBytes(-ev.size)
+		s.evictions.Add(1)
+		obsv.Default().Counter(CubeCacheEvictionsCounterName).Inc()
+	}
+}
+
+// addBytes moves the source's resident byte count, and the shared
+// cache-bytes gauge by the same delta, so with several sources loaded
+// the gauge is their sum. Called with s.mu held.
+func (s *LazySource) addBytes(delta int64) {
+	if delta == 0 {
+		return
+	}
+	s.bytes += delta
+	obsv.Default().Gauge(CubeCacheBytesGaugeName).Add(delta)
+}
+
+// Close drops every resident cube and takes the source's bytes out of
+// the shared cache-bytes gauge; the owner calls it when it discards
+// the source. The budget drops to zero, so a build still in flight
+// that commits afterwards is evicted at once instead of re-entering
+// the gauge. Queries against a closed source still answer (every cube
+// is rebuilt on demand).
+func (s *LazySource) Close() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.addBytes(-s.bytes)
+	s.budget = 0
+	s.oneD = make(map[int]*rulecube.Cube)
+	s.nd = make(map[cubeKey]*list.Element)
+	s.order.Init()
 }

@@ -9,7 +9,7 @@ import (
 // span (one clock read) and closes it when the stage returns (one
 // more clock read plus a histogram observe), so BENCH_*.json and the
 // /metrics endpoint can report real per-stage timings. Hot loops —
-// the per-pair cube builds and the per-attribute compare scoring —
+// the cube-counting scans and the per-attribute compare scoring —
 // are gated behind ArmHot: disarmed (the default) they cost a single
 // atomic load per iteration and take no clock readings at all.
 
@@ -19,8 +19,9 @@ const StageHistogramName = "opmap_stage_duration_seconds"
 
 // Hot-path histogram families (disarmed by default; see ArmHot).
 const (
-	// CubeBuildHistogramName times each individual cube count in a
-	// store build (the offline step's unit of work).
+	// CubeBuildHistogramName times each rulecube.BuildMany call — one
+	// shared scan, however many cubes it counts (a whole store build is
+	// one observation).
 	CubeBuildHistogramName = "opmap_cube_build_seconds"
 	// CompareAttrHistogramName times each candidate attribute scored
 	// in the compare hot loop.

@@ -2,60 +2,30 @@ package rulecube
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
+	"time"
 
 	"opmap/internal/dataset"
 	"opmap/internal/faultinject"
 	"opmap/internal/obsv"
 )
 
-// Shared-scan batch building (DESIGN.md §14). A sweep or a one-vs-rest
-// over all values needs the split attribute's 1-D cube plus one pair
-// cube (and possibly one 1-D marginal) per ranked attribute — dozens of
-// cubes whose independent builds would each re-scan the same rows.
-// BuildMany counts every requested cube in a single pass: one scratch
-// accumulator per distinct pair, a branch-free inner loop, and an
-// extraction step that also derives 1-D marginals from pair scratch for
-// free. COMPARE (arXiv:2107.11967) observes that groupwise comparisons
-// share one scan and one aggregation pass this way instead of carrying
-// per-pair state through separate scans.
-
-// CubeReq names one cube of a batch build: the 2-D (A × class) cube
-// when B is negative, the 3-D (A × B × class) pair cube otherwise. The
-// pair's condition dimensions come out in (A, B) order, exactly as
-// Build(ds, []int{A, B}) would order them. Attrs, when non-empty,
-// supersedes A/B and names the condition dimensions of an arbitrary
-// k-D cube in order — Build(ds, Attrs) — so one batch can mix 1-D
-// marginals, pairs and higher-dimensional drill-down cubes in a single
-// shared scan.
-type CubeReq struct {
-	A int
-	B int
-	// Attrs is the n-D request form; nil keeps the legacy two-field
-	// form. len(Attrs) ≥ 1; order fixes the cube's dimension order.
-	Attrs []int
-}
-
-// CubeReqOf builds the n-D form of a request.
-func CubeReqOf(attrs []int) CubeReq { return CubeReq{A: -1, B: -1, Attrs: attrs} }
-
-// attrList returns the request's condition dimensions in cube order.
-func (q CubeReq) attrList() []int {
-	if len(q.Attrs) > 0 {
-		return q.Attrs
-	}
-	if q.B < 0 {
-		return []int{q.A}
-	}
-	return []int{q.A, q.B}
-}
+// The counting kernel (DESIGN.md §14). Every path that turns rows into
+// cube cells — Build, the store build, lazy on-demand and bulk builds,
+// and streaming ingest — goes through the shared scan below: one
+// scratch accumulator per distinct cube, a branch-free inner loop, and
+// an extraction step that also derives 1-D marginals from pair scratch
+// for free. COMPARE (arXiv:2107.11967) observes that groupwise
+// comparisons share one scan and one aggregation pass this way instead
+// of carrying per-pair state through separate scans.
 
 // CubeScansCounterName counts full dataset passes performed to count
-// cubes: one per individually built cube (Build via BuildCube) and one
-// per BuildMany call, however many cubes that one scan produced. The
-// ratio of opmap_cubes_built_total to this counter is the shared-scan
+// cubes: one per BuildMany call (Build and a store build included),
+// however many cubes that one scan produced. The ratio of
+// opmap_cubes_built_total to this counter is the shared-scan
 // amplification.
 const CubeScansCounterName = "opmap_cube_scans_total"
 
@@ -64,19 +34,29 @@ const CubeScansCounterName = "opmap_cube_scans_total"
 // per-shard scratch allocation and merge cost more than they save.
 const batchShardRows = 1 << 16
 
-// pairPlan accumulates one pair cube during the shared scan. The
-// scratch array is laid out (dimA+1) × (dimB+1) × numClasses: slot 0 of
-// each condition dimension catches missing values (code -1 lands there
-// via the +1 shift), which keeps the inner loop branch-free and — since
-// a row with a present class is counted *somewhere* in the array — lets
-// extraction marginalize a dimension across all its slots to reproduce
-// the other dimension's exact 1-D cube without extra scan work.
+// pairPlan accumulates one pair cube (a, b) during the shared scan.
+// The scratch array is laid out (dimB+1) × (dimA+1) × numClasses — b
+// outermost, so a row's cell is its b term plus an (a, class) term that
+// every pair with the same first attribute shares (see pairHead). Slot
+// 0 of each condition dimension catches missing values (code -1 lands
+// there via the +1 shift), which keeps the inner loop branch-free and —
+// since a row with a present class is counted *somewhere* in the array
+// — lets extraction marginalize a dimension across all its slots to
+// reproduce the other dimension's exact 1-D cube without extra scan
+// work.
 type pairPlan struct {
 	a, b       int
-	colA, colB []int32
+	colB       []int32
 	dimA, dimB int
-	strideA    int // (dimB+1) * numClasses
+	strideB    int // (dimA+1) * numClasses
 	scratch    []int64
+}
+
+// pairHead groups the pair plans sharing a first attribute: the scan
+// computes their common (a, class) term once per row block.
+type pairHead struct {
+	col   []int32
+	pairs []int // indices into batchPlan.pairs
 }
 
 // onePlan accumulates a 1-D cube that no requested pair covers; its
@@ -107,8 +87,8 @@ type kPlan struct {
 // direct BuildMany users from runaway allocations.
 const maxBatchScratchCells = 1 << 31
 
-// cubeDim mirrors Build's dimension sizing: an attribute with an empty
-// domain still needs one slot.
+// cubeDim sizes a cube dimension: an attribute with an empty domain
+// still needs one slot.
 func cubeDim(ds *dataset.Dataset, a int) int {
 	card := ds.Cardinality(a)
 	if card == 0 {
@@ -119,18 +99,17 @@ func cubeDim(ds *dataset.Dataset, a int) int {
 
 // BuildMany counts every requested cube in one pass over ds (plus a
 // cells-proportional extraction), advancing the scan counter once and
-// the cubes-built counter per distinct cube. Results arrive in request
-// order and are identical to what Build would return for each request;
-// duplicate requests share one underlying cube. The scan parallelizes
-// across GOMAXPROCS row shards when the dataset is large enough (counts
-// are additive, so shard partials merge by summation). Cancellation is
-// observed before the pass and between phases — the response to a
-// cancel is bounded by a single scan, matching BuildStoreContext.
-func BuildMany(ctx context.Context, ds *dataset.Dataset, reqs []CubeReq) ([]*Cube, error) {
-	if !ds.AllCategorical() {
-		return nil, fmt.Errorf("rulecube: dataset has continuous attributes; discretize first")
-	}
-	if err := validateBatchReqs(ds, reqs); err != nil {
+// the cubes-built counter per distinct cube; when hot metrics are
+// armed (obsv.ArmHot) the call's duration is observed once. Each
+// request is an ordered list of condition attributes — the cube's
+// dimension order — and results arrive in request order; duplicate
+// requests share one underlying cube. The scan parallelizes across
+// GOMAXPROCS row shards when the dataset is large enough (counts are
+// additive, so shard partials merge by summation), and it observes
+// cancellation between row blocks, so a cancel is answered within one
+// block at any data size.
+func BuildMany(ctx context.Context, ds *dataset.Dataset, reqs [][]int) ([]*Cube, error) {
+	if err := validateReqs(ds, reqs); err != nil {
 		return nil, err
 	}
 	if len(reqs) == 0 {
@@ -142,30 +121,38 @@ func BuildMany(ctx context.Context, ds *dataset.Dataset, reqs []CubeReq) ([]*Cub
 	if err := faultinject.HitContext(ctx, faultinject.SiteCubeBatch); err != nil {
 		return nil, err
 	}
-
-	nc := ds.NumClasses()
-	plan, err := planBatch(ds, nc, reqs)
+	var (
+		h     *obsv.Histogram
+		start time.Time
+	)
+	if obsv.HotArmed() {
+		h = obsv.Default().Histogram(obsv.CubeBuildHistogramName, nil)
+		start = time.Now()
+	}
+	out, built, err := countRange(ctx, ds, reqs, 0, ds.NumRows())
 	if err != nil {
 		return nil, err
 	}
-	scanAll(ds.Column(ds.ClassIndex()).Codes, nc, plan, ds.NumRows())
-	if err := ctx.Err(); err != nil {
-		return nil, err
+	if h != nil {
+		h.ObserveSince(start)
 	}
-
-	out, built := extractAll(ds, nc, reqs, plan)
 	obsv.Default().Counter(CubesBuiltCounterName).Add(int64(built))
 	obsv.Default().Counter(CubeScansCounterName).Inc()
 	return out, nil
 }
 
-// validateBatchReqs rejects out-of-range, class-dimension, and
-// duplicate-attribute requests before any allocation, in either
-// request form.
-func validateBatchReqs(ds *dataset.Dataset, reqs []CubeReq) error {
+// validateReqs rejects continuous datasets and empty, out-of-range,
+// class-dimension and duplicate-attribute requests before any
+// allocation.
+func validateReqs(ds *dataset.Dataset, reqs [][]int) error {
+	if !ds.AllCategorical() {
+		return fmt.Errorf("rulecube: dataset has continuous attributes; discretize first")
+	}
 	classIdx := ds.ClassIndex()
-	for _, q := range reqs {
-		attrs := q.attrList()
+	for _, attrs := range reqs {
+		if len(attrs) == 0 {
+			return fmt.Errorf("rulecube: empty attribute list in cube request")
+		}
 		for i, a := range attrs {
 			if a < 0 || a >= ds.NumAttrs() {
 				return fmt.Errorf("rulecube: attribute index %d out of range", a)
@@ -183,12 +170,31 @@ func validateBatchReqs(ds *dataset.Dataset, reqs []CubeReq) error {
 	return nil
 }
 
+// countRange is the kernel behind BuildMany and FoldRows: it counts
+// rows [lo, hi) of ds into one cube per distinct (validated) request
+// and reports how many distinct cubes it produced. It advances no
+// metric; callers decide what the pass means.
+func countRange(ctx context.Context, ds *dataset.Dataset, reqs [][]int, lo, hi int) ([]*Cube, int, error) {
+	nc := ds.NumClasses()
+	plan, err := planBatch(ds, nc, reqs)
+	if err != nil {
+		return nil, 0, err
+	}
+	if err := scanAll(ctx, ds.Column(ds.ClassIndex()).Codes, nc, plan, lo, hi); err != nil {
+		return nil, 0, err
+	}
+	out, built := extractAll(ds, nc, reqs, plan)
+	return out, built, nil
+}
+
 // batchPlan is the deduplicated working set of one shared scan: one
 // pairPlan per distinct pair, one onePlan per 1-D request no pair
-// covers, and the index maps extraction uses to route each request to
-// its accumulator.
+// covers, one kPlan per distinct k ≥ 3 request, and the index maps
+// extraction uses to route each request to its accumulator.
 type batchPlan struct {
 	pairs   []pairPlan
+	heads   []pairHead
+	headIdx map[int]int // first attribute -> heads index
 	ones    []onePlan
 	ks      []kPlan
 	pairIdx map[[2]int]int
@@ -202,104 +208,120 @@ type batchPlan struct {
 // [b a c] are distinct cubes).
 func kKey(attrs []int) string { return fmt.Sprint(attrs) }
 
-// planBatch dedupes the requests into scan plans, routing 1-D requests
-// through a covering pair's scratch whenever one exists and k ≥ 3
-// requests into k-D plans.
-func planBatch(ds *dataset.Dataset, nc int, reqs []CubeReq) (*batchPlan, error) {
+// planBatch dedupes the requests into scan plans by arity — pairs and
+// k ≥ 3 requests first, then 1-D requests, routed through a covering
+// pair's scratch whenever one exists.
+func planBatch(ds *dataset.Dataset, nc int, reqs [][]int) (*batchPlan, error) {
 	p := &batchPlan{
 		pairIdx: make(map[[2]int]int),
+		headIdx: make(map[int]int),
 		oneIdx:  make(map[int]int),
 		kIdx:    make(map[string]int),
 		derived: make(map[int][2]int),
 	}
-	for _, q := range reqs {
-		attrs := q.attrList()
-		if len(attrs) != 2 {
-			continue
-		}
-		a, b := attrs[0], attrs[1]
-		k := [2]int{a, b}
-		if _, ok := p.pairIdx[k]; ok {
-			continue
-		}
-		dimA, dimB := cubeDim(ds, a), cubeDim(ds, b)
-		p.pairIdx[k] = len(p.pairs)
-		p.pairs = append(p.pairs, pairPlan{
-			a: a, b: b,
-			colA: ds.Column(a).Codes, colB: ds.Column(b).Codes,
-			dimA: dimA, dimB: dimB,
-			strideA: (dimB + 1) * nc,
-			scratch: make([]int64, (dimA+1)*(dimB+1)*nc),
-		})
-	}
-	for _, q := range reqs {
-		attrs := q.attrList()
-		if len(attrs) < 3 {
-			continue
-		}
-		key := kKey(attrs)
-		if _, ok := p.kIdx[key]; ok {
-			continue
-		}
-		kp := kPlan{attrs: append([]int(nil), attrs...)}
-		cells := int64(nc)
-		for _, a := range attrs {
-			d := cubeDim(ds, a)
-			kp.dims = append(kp.dims, d)
-			kp.cols = append(kp.cols, ds.Column(a).Codes)
-			if cells > maxBatchScratchCells/int64(d+1) {
-				return nil, fmt.Errorf("rulecube: cube over attributes %v too large to count (> %d scratch cells)", attrs, int64(maxBatchScratchCells))
+	for _, attrs := range reqs {
+		switch {
+		case len(attrs) == 2:
+			p.addPair(ds, nc, attrs[0], attrs[1])
+		case len(attrs) >= 3:
+			if err := p.addK(ds, nc, attrs); err != nil {
+				return nil, err
 			}
-			cells *= int64(d + 1)
 		}
-		kp.strides = make([]int, len(attrs))
-		stride := nc
-		for i := len(attrs) - 1; i >= 0; i-- {
-			kp.strides[i] = stride
-			stride *= kp.dims[i] + 1
-		}
-		kp.scratch = make([]int64, cells)
-		p.kIdx[key] = len(p.ks)
-		p.ks = append(p.ks, kp)
 	}
-	for _, q := range reqs {
-		attrs := q.attrList()
-		if len(attrs) != 1 {
-			continue
+	for _, attrs := range reqs {
+		if len(attrs) == 1 {
+			p.addOne(ds, nc, attrs[0])
 		}
-		a := attrs[0]
-		if _, ok := p.oneIdx[a]; ok {
-			continue
-		}
-		if _, ok := p.derived[a]; ok {
-			continue
-		}
-		pos := findPairFor(p.pairs, a)
-		if pos[0] >= 0 {
-			p.derived[a] = pos
-			continue
-		}
-		d := cubeDim(ds, a)
-		p.oneIdx[a] = len(p.ones)
-		p.ones = append(p.ones, onePlan{
-			a: a, col: ds.Column(a).Codes,
-			dim: d, scratch: make([]int64, (d+1)*nc),
-		})
 	}
 	return p, nil
+}
+
+// addPair registers the pair plan for (a, b) unless one exists.
+func (p *batchPlan) addPair(ds *dataset.Dataset, nc, a, b int) {
+	k := [2]int{a, b}
+	if _, ok := p.pairIdx[k]; ok {
+		return
+	}
+	dimA, dimB := cubeDim(ds, a), cubeDim(ds, b)
+	h, ok := p.headIdx[a]
+	if !ok {
+		h = len(p.heads)
+		p.headIdx[a] = h
+		p.heads = append(p.heads, pairHead{col: ds.Column(a).Codes})
+	}
+	p.heads[h].pairs = append(p.heads[h].pairs, len(p.pairs))
+	p.pairIdx[k] = len(p.pairs)
+	p.pairs = append(p.pairs, pairPlan{
+		a: a, b: b,
+		colB: ds.Column(b).Codes,
+		dimA: dimA, dimB: dimB,
+		strideB: (dimA + 1) * nc,
+		scratch: make([]int64, (dimA+1)*(dimB+1)*nc),
+	})
+}
+
+// addK registers the k-D plan for the ordered list attrs unless one
+// exists.
+func (p *batchPlan) addK(ds *dataset.Dataset, nc int, attrs []int) error {
+	key := kKey(attrs)
+	if _, ok := p.kIdx[key]; ok {
+		return nil
+	}
+	kp := kPlan{attrs: append([]int(nil), attrs...)}
+	cells := int64(nc)
+	for _, a := range attrs {
+		d := cubeDim(ds, a)
+		kp.dims = append(kp.dims, d)
+		kp.cols = append(kp.cols, ds.Column(a).Codes)
+		if cells > maxBatchScratchCells/int64(d+1) {
+			return fmt.Errorf("rulecube: cube over attributes %v too large to count (> %d scratch cells)", attrs, int64(maxBatchScratchCells))
+		}
+		cells *= int64(d + 1)
+	}
+	kp.strides = make([]int, len(attrs))
+	stride := nc
+	for i := len(attrs) - 1; i >= 0; i-- {
+		kp.strides[i] = stride
+		stride *= kp.dims[i] + 1
+	}
+	kp.scratch = make([]int64, cells)
+	p.kIdx[key] = len(p.ks)
+	p.ks = append(p.ks, kp)
+	return nil
+}
+
+// addOne routes a 1-D request for a through a covering pair plan, or
+// registers a dedicated 1-D plan when no pair covers it.
+func (p *batchPlan) addOne(ds *dataset.Dataset, nc, a int) {
+	if _, ok := p.oneIdx[a]; ok {
+		return
+	}
+	if _, ok := p.derived[a]; ok {
+		return
+	}
+	if pos := findPairFor(p.pairs, a); pos[0] >= 0 {
+		p.derived[a] = pos
+		return
+	}
+	d := cubeDim(ds, a)
+	p.oneIdx[a] = len(p.ones)
+	p.ones = append(p.ones, onePlan{
+		a: a, col: ds.Column(a).Codes,
+		dim: d, scratch: make([]int64, (d+1)*nc),
+	})
 }
 
 // extractAll materializes each distinct cube once from the counted
 // scratch (duplicate requests share the pointer) and reports how many
 // cubes were built.
-func extractAll(ds *dataset.Dataset, nc int, reqs []CubeReq, plan *batchPlan) ([]*Cube, int) {
+func extractAll(ds *dataset.Dataset, nc int, reqs [][]int, plan *batchPlan) ([]*Cube, int) {
 	out := make([]*Cube, len(reqs))
 	pairCubes := make([]*Cube, len(plan.pairs))
 	kCubes := make([]*Cube, len(plan.ks))
 	oneCubes := make(map[int]*Cube)
 	built := 0
-	for i, q := range reqs {
-		attrs := q.attrList()
+	for i, attrs := range reqs {
 		switch {
 		case len(attrs) >= 3:
 			ki := plan.kIdx[kKey(attrs)]
@@ -347,69 +369,81 @@ func findPairFor(pairs []pairPlan, a int) [2]int {
 	return [2]int{-1, -1}
 }
 
-// scanAll runs the shared pass, split across GOMAXPROCS contiguous row
-// shards when the dataset is large enough to amortize the per-shard
-// scratch (counts are additive; shard partials merge by summation).
-// It runs to completion once started — the caller bounds cancellation
-// at one scan by checking its context before and after.
-func scanAll(classCol []int32, nc int, plan *batchPlan, rows int) {
-	pairs, ones, ks := plan.pairs, plan.ones, plan.ks
+// scanAll runs the shared pass over rows [lo, hi), split across
+// GOMAXPROCS contiguous row shards when the range is large enough to
+// amortize the per-shard scratch (counts are additive; shard partials
+// merge by summation). Every shard observes ctx between row blocks; a
+// canceled scan returns ctx.Err() once all shards have stopped.
+func scanAll(ctx context.Context, classCol []int32, nc int, plan *batchPlan, lo, hi int) error {
+	rows := hi - lo
 	shards := runtime.GOMAXPROCS(0)
 	if max := rows / batchShardRows; shards > max {
 		shards = max
 	}
 	if shards <= 1 {
-		scanRange(classCol, nc, pairs, ones, ks, 0, rows)
-		return
+		return scanRange(ctx, classCol, nc, plan, lo, hi)
 	}
-	// Shard 0 scans into the plans' own scratch; each extra shard gets a
-	// private copy of the scratch arrays, merged after the pass.
-	extra := make([][]pairPlan, shards-1)
-	extraOnes := make([][]onePlan, shards-1)
-	extraKs := make([][]kPlan, shards-1)
-	for s := range extra {
-		ps := append([]pairPlan(nil), pairs...)
-		for i := range ps {
-			ps[i].scratch = make([]int64, len(pairs[i].scratch))
-		}
-		os := append([]onePlan(nil), ones...)
-		for i := range os {
-			os[i].scratch = make([]int64, len(ones[i].scratch))
-		}
-		kps := append([]kPlan(nil), ks...)
-		for i := range kps {
-			kps[i].scratch = make([]int64, len(ks[i].scratch))
-		}
-		extra[s], extraOnes[s], extraKs[s] = ps, os, kps
-	}
+	parts := plan.shardPlans(shards)
 	var wg sync.WaitGroup
+	errs := make([]error, shards)
 	per := (rows + shards - 1) / shards
-	for s := 0; s < shards; s++ {
-		lo := s * per
-		hi := lo + per
-		if hi > rows {
-			hi = rows
-		}
-		ps, os, kps := pairs, ones, ks
-		if s > 0 {
-			ps, os, kps = extra[s-1], extraOnes[s-1], extraKs[s-1]
+	for s, part := range parts {
+		slo := lo + s*per
+		shi := slo + per
+		if shi > hi {
+			shi = hi
 		}
 		wg.Add(1)
-		go func(ps []pairPlan, os []onePlan, kps []kPlan, lo, hi int) {
+		go func(s int, part *batchPlan, slo, shi int) {
 			defer wg.Done()
-			scanRange(classCol, nc, ps, os, kps, lo, hi)
-		}(ps, os, kps, lo, hi)
+			errs[s] = scanRange(ctx, classCol, nc, part, slo, shi)
+		}(s, part, slo, shi)
 	}
 	wg.Wait()
-	for s := range extra {
-		for i := range pairs {
-			AddCounts(pairs[i].scratch, extra[s][i].scratch)
+	if err := errors.Join(errs...); err != nil {
+		return ctx.Err() // shards fail only on a cancel
+	}
+	plan.addShards(parts[1:])
+	return nil
+}
+
+// shardPlans returns one plan per scan shard: shard 0 scans into p's
+// own scratch, each extra shard into a private zeroed copy of the
+// scratch arrays, summed back by addShards after the pass.
+func (p *batchPlan) shardPlans(shards int) []*batchPlan {
+	parts := []*batchPlan{p}
+	for len(parts) < shards {
+		q := &batchPlan{
+			pairs: append([]pairPlan(nil), p.pairs...),
+			heads: p.heads,
+			ones:  append([]onePlan(nil), p.ones...),
+			ks:    append([]kPlan(nil), p.ks...),
 		}
-		for i := range ones {
-			AddCounts(ones[i].scratch, extraOnes[s][i].scratch)
+		for i := range q.pairs {
+			q.pairs[i].scratch = make([]int64, len(p.pairs[i].scratch))
 		}
-		for i := range ks {
-			AddCounts(ks[i].scratch, extraKs[s][i].scratch)
+		for i := range q.ones {
+			q.ones[i].scratch = make([]int64, len(p.ones[i].scratch))
+		}
+		for i := range q.ks {
+			q.ks[i].scratch = make([]int64, len(p.ks[i].scratch))
+		}
+		parts = append(parts, q)
+	}
+	return parts
+}
+
+// addShards sums the extra shards' scratch into the plan's own.
+func (p *batchPlan) addShards(shards []*batchPlan) {
+	for _, q := range shards {
+		for i := range p.pairs {
+			AddCounts(p.pairs[i].scratch, q.pairs[i].scratch)
+		}
+		for i := range p.ones {
+			AddCounts(p.ones[i].scratch, q.ones[i].scratch)
+		}
+		for i := range p.ks {
+			AddCounts(p.ks[i].scratch, q.ks[i].scratch)
 		}
 	}
 }
@@ -420,31 +454,64 @@ func scanAll(classCol []int32, nc int, plan *batchPlan, rows int) {
 // setup. 2048 rows × 4 bytes = 8 KiB per column touched.
 const scanBlockRows = 2048
 
-// scanRange is the shared scan's inner loop over rows [lo, hi): each
-// row with a present class bumps exactly one cell per plan. The +1
-// shift routes a missing value (code -1) to slot 0, so the loop has no
-// per-plan branch; extraction drops (or marginalizes over) that slot.
-// Rows are processed in blocks with the plan loop outside the row
-// loop, so each plan's column/scratch pointers hoist out of the hot
-// loop and the block's columns are revisited while still in cache —
-// the row-outer form re-derefs every plan per row and thrashes between
-// all the plans' columns.
-func scanRange(classCol []int32, nc int, pairs []pairPlan, ones []onePlan, ks []kPlan, lo, hi int) {
+// scanRange is the shared scan's inner loop over rows [lo, hi) — the
+// only code that adds rows into cube cells. Each row with a present
+// class bumps exactly one cell per plan. The +1 shift routes a missing
+// value (code -1) to slot 0, so the loop has no per-plan branch;
+// extraction drops (or marginalizes over) that slot. Rows are processed
+// in blocks with the plan loop outside the row loop, so each plan's
+// column/scratch pointers hoist out of the hot loop and the block's
+// columns are revisited while still in cache. Pairs sharing a first
+// attribute compute its (a, class) term once per block and each adds
+// only its b term; a lone pair runs one fused loop. A k ≥ 3 plan
+// indexes one column at a time — each dimension adds its stride term
+// across the whole block, then one pass increments — instead of
+// walking every dimension per row. ctx is checked before each block.
+func scanRange(ctx context.Context, classCol []int32, nc int, plan *batchPlan, lo, hi int) error {
+	pairs, ones, ks := plan.pairs, plan.ones, plan.ks
+	var idx []int // per-row partial cell indexes of one block
+	if len(ks) > 0 || len(plan.heads) < len(pairs) {
+		idx = make([]int, scanBlockRows)
+	}
 	for blo := lo; blo < hi; blo += scanBlockRows {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
 		bhi := blo + scanBlockRows
 		if bhi > hi {
 			bhi = hi
 		}
 		cls := classCol[blo:bhi]
-		for i := range pairs {
-			p := &pairs[i]
-			colA, colB := p.colA[blo:bhi], p.colB[blo:bhi]
-			scratch, strideA := p.scratch, p.strideA
-			for r, cl := range cls {
-				if cl < 0 {
-					continue
+		for _, h := range plan.heads {
+			if len(h.pairs) == 1 {
+				p := &pairs[h.pairs[0]]
+				colA, colB := h.col[blo:bhi], p.colB[blo:bhi]
+				scratch, strideB := p.scratch, p.strideB
+				for r, cl := range cls {
+					if cl < 0 {
+						continue
+					}
+					scratch[(int(colB[r])+1)*strideB+(int(colA[r])+1)*nc+int(cl)]++
 				}
-				scratch[(int(colA[r])+1)*strideA+(int(colB[r])+1)*nc+int(cl)]++
+				continue
+			}
+			// The shared (a, class) term; -1 marks a missing class.
+			ix := idx[:len(cls)]
+			for r, v := range h.col[blo:bhi] {
+				ix[r] = -1
+				if cl := cls[r]; cl >= 0 {
+					ix[r] = (int(v)+1)*nc + int(cl)
+				}
+			}
+			for _, i := range h.pairs {
+				p := &pairs[i]
+				colB, scratch, strideB := p.colB[blo:bhi], p.scratch, p.strideB
+				for r, t := range ix {
+					if t < 0 {
+						continue
+					}
+					scratch[(int(colB[r])+1)*strideB+t]++
+				}
 			}
 		}
 		for i := range ones {
@@ -459,27 +526,30 @@ func scanRange(classCol []int32, nc int, pairs []pairPlan, ones []onePlan, ks []
 		}
 		for i := range ks {
 			kp := &ks[i]
-			scratch, strides := kp.scratch, kp.strides
-			cols := make([][]int32, len(kp.cols))
-			for d := range kp.cols {
-				cols[d] = kp.cols[d][blo:bhi]
+			ix := idx[:len(cls)]
+			for r, cl := range cls {
+				ix[r] = int(cl)
 			}
+			for d, col := range kp.cols {
+				stride := kp.strides[d]
+				for r, v := range col[blo:bhi] {
+					ix[r] += (int(v) + 1) * stride
+				}
+			}
+			scratch := kp.scratch
 			for r, cl := range cls {
 				if cl < 0 {
 					continue
 				}
-				idx := int(cl)
-				for d, col := range cols {
-					idx += (int(col[r]) + 1) * strides[d]
-				}
-				scratch[idx]++
+				scratch[ix[r]]++
 			}
 		}
 	}
+	return nil
 }
 
-// newCubeHeader builds the cube metadata exactly the way Build does, so
-// batch-built cubes compare DeepEqual to individually built ones.
+// newCubeHeader builds an empty cube over attrs with the dataset's
+// current dimensions, dictionaries and class count.
 func newCubeHeader(ds *dataset.Dataset, attrs []int, nc int) *Cube {
 	c := &Cube{
 		attrIdx:    append([]int(nil), attrs...),
@@ -500,13 +570,17 @@ func newCubeHeader(ds *dataset.Dataset, attrs []int, nc int) *Cube {
 
 // extractPair copies the present-value block of a pair plan's scratch
 // into an exact cube: slot 0 of either dimension (rows where that value
-// was missing) is dropped, matching Build's skip of such rows.
+// was missing) is dropped — a cube skips rows with a missing value in
+// any of its dimensions.
 func extractPair(ds *dataset.Dataset, nc int, p *pairPlan) *Cube {
 	c := newCubeHeader(ds, []int{p.a, p.b}, nc)
-	blk := p.dimB * nc
+	dst := 0
 	for va := 0; va < p.dimA; va++ {
-		src := ((va+1)*(p.dimB+1) + 1) * nc
-		copy(c.counts[va*blk:(va+1)*blk], p.scratch[src:src+blk])
+		for vb := 0; vb < p.dimB; vb++ {
+			src := (vb+1)*p.strideB + (va+1)*nc
+			copy(c.counts[dst:dst+nc], p.scratch[src:src+nc])
+			dst += nc
+		}
 	}
 	for _, n := range c.counts {
 		c.total += n
@@ -526,8 +600,7 @@ func extractOne(ds *dataset.Dataset, nc int, o *onePlan) *Cube {
 
 // extractK copies the present-value block of a k-D plan's scratch into
 // an exact cube: slot 0 of every condition dimension (rows where that
-// value was missing) is dropped, matching Build's skip of such rows.
-// The innermost dimension's present block is contiguous in both
+// value was missing) is dropped. The innermost dimension's present block is contiguous in both
 // layouts, so the copy walks an odometer over the outer dimensions and
 // moves dims[k-1]×nc cells at a time.
 func extractK(ds *dataset.Dataset, nc int, p *kPlan) *Cube {
@@ -565,23 +638,23 @@ func extractK(ds *dataset.Dataset, nc int, p *kPlan) *Cube {
 // plan's scratch by marginalizing the partner dimension across *all*
 // its slots — missing slot included, because a row with a present a and
 // class is counted in the scratch wherever its partner value fell, and
-// Build's 1-D cube keeps exactly those rows regardless of the partner.
+// a 1-D cube keeps exactly those rows regardless of the partner.
 func extractDerivedOne(ds *dataset.Dataset, nc int, a int, p *pairPlan, pos int) *Cube {
 	c := newCubeHeader(ds, []int{a}, nc)
 	if pos == 0 {
 		for va := 0; va < p.dimA; va++ {
 			dst := c.counts[va*nc : (va+1)*nc]
-			base := (va + 1) * p.strideA
 			for sb := 0; sb <= p.dimB; sb++ {
-				AddCounts(dst, p.scratch[base+sb*nc:base+(sb+1)*nc])
+				off := sb*p.strideB + (va+1)*nc
+				AddCounts(dst, p.scratch[off:off+nc])
 			}
 		}
 	} else {
 		for vb := 0; vb < p.dimB; vb++ {
 			dst := c.counts[vb*nc : (vb+1)*nc]
+			base := (vb + 1) * p.strideB
 			for sa := 0; sa <= p.dimA; sa++ {
-				off := sa*p.strideA + (vb+1)*nc
-				AddCounts(dst, p.scratch[off:off+nc])
+				AddCounts(dst, p.scratch[base+sa*nc:base+(sa+1)*nc])
 			}
 		}
 	}

@@ -2,15 +2,18 @@ package rulecube
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"opmap/internal/dataset"
 	"opmap/internal/faultinject"
 	"opmap/internal/obsv"
+	"opmap/internal/testutil"
 )
 
 // randomDatasetMissingClass is randomDataset with missing values in the
@@ -62,43 +65,46 @@ func randomDatasetMissingClass(t *testing.T, seed int64, rows, attrs, card, clas
 	return ds
 }
 
-// TestBuildManyOracle checks every request shape against Build: pair
-// cubes in both dimension orders, 1-D cubes derived from a pair plan's
-// scratch, 1-D cubes with a dedicated plan, and duplicate requests.
+// TestBuildManyOracle checks every request shape against a brute-force
+// recount of the rows: pair cubes in both dimension orders, 1-D cubes
+// derived from a pair plan's scratch, 1-D cubes with a dedicated plan,
+// ordered 3-D and 4-D cubes, and duplicate requests.
 func TestBuildManyOracle(t *testing.T) {
+	ctx := context.Background()
 	for trial := int64(0); trial < 4; trial++ {
 		ds := randomDatasetMissingClass(t, trial, 2500, 5, 4, 3, 0.08)
-		reqs := []CubeReq{
-			{A: 0, B: 1},
-			{A: 1, B: 0}, // reversed dimension order is a distinct cube
-			{A: 2, B: 3},
-			{A: 0, B: -1}, // derived from pair (0,1)
-			{A: 3, B: -1}, // derived from pair (2,3), partner position
-			{A: 4, B: -1}, // no covering pair: dedicated 1-D plan
-			{A: 0, B: 1},  // duplicate shares the cube
+		reqs := [][]int{
+			{0, 1},
+			{1, 0}, // reversed dimension order is a distinct cube
+			{2, 3},
+			{0},          // derived from pair (0,1)
+			{3},          // derived from pair (2,3), partner position
+			{4},          // no covering pair: dedicated 1-D plan
+			{0, 1},       // duplicate shares the cube
+			{4, 0, 2},    // ordered 3-D
+			{3, 1, 4, 0}, // ordered 4-D
 		}
-		got, err := BuildMany(context.Background(), ds, reqs)
+		got, err := BuildMany(ctx, ds, reqs)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(got) != len(reqs) {
 			t.Fatalf("got %d cubes, want %d", len(got), len(reqs))
 		}
-		for i, q := range reqs {
-			attrs := []int{q.A}
-			if q.B >= 0 {
-				attrs = append(attrs, q.B)
+		for i, attrs := range reqs {
+			if !reflect.DeepEqual(got[i].AttrIndices(), attrs) {
+				t.Fatalf("trial %d req %d: dimensions %v, want %v", trial, i, got[i].AttrIndices(), attrs)
 			}
-			want, err := Build(ds, attrs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got[i], want) {
-				t.Errorf("trial %d req %d (%+v): batch cube differs from Build", trial, i, q)
+			want, total := naiveCells(ds, attrs)
+			if got[i].Total() != total || !reflect.DeepEqual(cubeCells(got[i]), want) {
+				t.Errorf("trial %d req %d (%v): batch cube differs from brute force", trial, i, attrs)
 			}
 		}
 		if got[0] != got[6] {
 			t.Error("duplicate requests should share one cube")
+		}
+		if _, err := BuildMany(ctx, ds, [][]int{{0, 1}, {}}); err == nil {
+			t.Error("an empty attribute list must be rejected")
 		}
 	}
 }
@@ -108,13 +114,14 @@ func TestBuildManyValidation(t *testing.T) {
 	ctx := context.Background()
 	for _, tc := range []struct {
 		name string
-		reqs []CubeReq
+		reqs [][]int
 	}{
-		{"out of range", []CubeReq{{A: 9, B: -1}}},
-		{"negative", []CubeReq{{A: -1, B: -1}}},
-		{"class dim", []CubeReq{{A: 2, B: -1}}},
-		{"class pair", []CubeReq{{A: 0, B: 2}}},
-		{"self pair", []CubeReq{{A: 1, B: 1}}},
+		{"out of range", [][]int{{9}}},
+		{"negative", [][]int{{-1}}},
+		{"class dim", [][]int{{2}}},
+		{"class pair", [][]int{{0, 2}}},
+		{"self pair", [][]int{{1, 1}}},
+		{"empty list", [][]int{{}}},
 	} {
 		if _, err := BuildMany(ctx, ds, tc.reqs); err == nil {
 			t.Errorf("%s: expected error", tc.name)
@@ -132,9 +139,7 @@ func TestBuildManyCounters(t *testing.T) {
 	built := obsv.Default().Counter(CubesBuiltCounterName)
 	s0, b0 := scans.Value(), built.Value()
 	// 4 requests, 3 distinct cubes, one scan.
-	_, err := BuildMany(context.Background(), ds, []CubeReq{
-		{A: 0, B: 1}, {A: 0, B: -1}, {A: 1, B: -1}, {A: 0, B: 1},
-	})
+	_, err := BuildMany(context.Background(), ds, [][]int{{0, 1}, {0}, {1}, {0, 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,9 +149,9 @@ func TestBuildManyCounters(t *testing.T) {
 	if d := built.Value() - b0; d != 3 {
 		t.Errorf("built counter advanced by %d, want 3", d)
 	}
-	// The sequential path advances the scan counter once per cube.
+	// A single-cube Build is one scan too.
 	s1 := scans.Value()
-	if _, err := BuildCube(ds, []int{0, 1}); err != nil {
+	if _, err := Build(ds, []int{0, 1}); err != nil {
 		t.Fatal(err)
 	}
 	if d := scans.Value() - s1; d != 1 {
@@ -158,7 +163,7 @@ func TestBuildManyCancelAndFault(t *testing.T) {
 	ds := fig1Dataset(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := BuildMany(ctx, ds, []CubeReq{{A: 0, B: 1}}); err != context.Canceled {
+	if _, err := BuildMany(ctx, ds, [][]int{{0, 1}}); err != context.Canceled {
 		t.Errorf("canceled ctx: got %v", err)
 	}
 	disarm, err := faultinject.Arm(faultinject.Fault{Site: faultinject.SiteCubeBatch, Kind: faultinject.Error})
@@ -166,30 +171,90 @@ func TestBuildManyCancelAndFault(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer disarm()
-	if _, err := BuildMany(context.Background(), ds, []CubeReq{{A: 0, B: 1}}); err == nil {
+	if _, err := BuildMany(context.Background(), ds, [][]int{{0, 1}}); err == nil {
 		t.Error("armed batch fault: expected error")
+	}
+}
+
+// countdownCtx answers Err() with nil for its first n calls and
+// context.Canceled from then on: a cancel that lands at a
+// deterministic point inside a scan.
+type countdownCtx struct {
+	context.Context
+	left  atomic.Int64
+	calls atomic.Int64
+}
+
+func newCountdownCtx(n int64) *countdownCtx {
+	c := &countdownCtx{Context: context.Background()}
+	c.left.Store(n)
+	return c
+}
+
+func (c *countdownCtx) Err() error {
+	c.calls.Add(1)
+	if c.left.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestBuildManyCancelMidScan cancels inside the scan: BuildMany must
+// return ctx.Err() before the scan reaches its last row block, advance
+// no counter, and leave no row-shard goroutine behind — on a single
+// shard and across several.
+func TestBuildManyCancelMidScan(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		procs int
+		rows  int
+	}{
+		{"single", 1, 20 * scanBlockRows},
+		{"sharded", 4, 3 * batchShardRows},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer testutil.VerifyNoLeak(t)()
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(tc.procs))
+			ds := randomDatasetMissingClass(t, 5, tc.rows, 4, 4, 3, 0.05)
+			scans := obsv.Default().Counter(CubeScansCounterName)
+			s0 := scans.Value()
+			ctx := newCountdownCtx(3)
+			_, err := BuildMany(ctx, ds, [][]int{{0, 1}, {2}, {0, 1, 3}})
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v, want context.Canceled", err)
+			}
+			blocks := int64(tc.rows / scanBlockRows)
+			if calls := ctx.calls.Load(); calls >= blocks {
+				t.Errorf("ctx checked %d times over %d blocks: the scan ran past the cancel", calls, blocks)
+			}
+			if d := scans.Value() - s0; d != 0 {
+				t.Errorf("canceled scan advanced the scan counter by %d", d)
+			}
+		})
 	}
 }
 
 // TestBuildManySharded forces the parallel shard-and-merge path by
 // raising GOMAXPROCS over a dataset large enough to split, and checks
-// the merged counts against Build.
+// the merged counts against the same requests counted in one pass.
 func TestBuildManySharded(t *testing.T) {
-	old := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(old)
 	rows := 3 * batchShardRows
 	ds := randomDatasetMissingClass(t, 42, rows, 3, 4, 2, 0.05)
-	got, err := BuildMany(context.Background(), ds, []CubeReq{{A: 0, B: 1}, {A: 2, B: -1}})
+	reqs := [][]int{{0, 1}, {2}, {2, 0, 1}}
+	old := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(old)
+	single, err := BuildMany(context.Background(), ds, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, attrs := range [][]int{{0, 1}, {2}} {
-		want, err := Build(ds, attrs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got[i], want) {
-			t.Errorf("sharded cube %d differs from Build", i)
+	runtime.GOMAXPROCS(4)
+	got, err := BuildMany(context.Background(), ds, reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range reqs {
+		if !reflect.DeepEqual(got[i], single[i]) {
+			t.Errorf("sharded cube %d differs from the single-pass count", i)
 		}
 	}
 }
@@ -235,10 +300,9 @@ func BenchmarkBatchVsSequential(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	reqs := []CubeReq{{A: 0, B: -1}}
+	reqs := [][]int{{0}}
 	for ai := 1; ai < attrs; ai++ {
-		reqs = append(reqs, CubeReq{A: 0, B: ai})
-		reqs = append(reqs, CubeReq{A: ai, B: -1})
+		reqs = append(reqs, []int{0, ai}, []int{ai})
 	}
 	b.Run("batch", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -250,11 +314,7 @@ func BenchmarkBatchVsSequential(b *testing.B) {
 	b.Run("sequential", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, q := range reqs {
-				attrsList := []int{q.A}
-				if q.B >= 0 {
-					attrsList = append(attrsList, q.B)
-				}
-				if _, err := Build(ds, attrsList); err != nil {
+				if _, err := Build(ds, q); err != nil {
 					b.Fatal(err)
 				}
 			}

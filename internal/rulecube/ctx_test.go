@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -56,7 +58,8 @@ func TestBuildStoreContextPreCanceled(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("parallelism=%d", workers), func(t *testing.T) {
 			defer testutil.VerifyNoLeak(t)()
-			store, err := BuildStoreContext(ctx, ds, StoreOptions{Parallelism: workers})
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
+			store, err := BuildStoreContext(ctx, ds, StoreOptions{})
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("err = %v, want context.Canceled", err)
 			}
@@ -67,16 +70,13 @@ func TestBuildStoreContextPreCanceled(t *testing.T) {
 	}
 }
 
-// TestBuildStoreContextCancelMidBuild is the acceptance check: cancel
-// while pair cubes are being counted, and the build must return
-// ctx.Err() within 100ms without leaking worker goroutines or
-// dispatching the remaining pairs.
-func TestBuildStoreContextCancelMidBuild(t *testing.T) {
-	defer testutil.VerifyNoLeak(t)()
-	defer faultinject.Reset()
-	ds := wideDataset(t, 8) // 28 pairs
+// cancelDuringBuild starts a store build with a 50ms delay armed at the
+// batch site (the one shared scan's entry), cancels after wait, and
+// checks the build returns ctx.Err() within 100ms of the cancel.
+func cancelDuringBuild(t *testing.T, ds *dataset.Dataset, wait time.Duration) {
+	t.Helper()
 	disarm, err := faultinject.Arm(faultinject.Fault{
-		Site:  faultinject.SiteCubeBuildPair,
+		Site:  faultinject.SiteCubeBatch,
 		Kind:  faultinject.Delay,
 		Delay: 50 * time.Millisecond,
 	})
@@ -89,11 +89,10 @@ func TestBuildStoreContextCancelMidBuild(t *testing.T) {
 	defer cancel()
 	done := make(chan error, 1)
 	go func() {
-		_, err := BuildStoreContext(ctx, ds, StoreOptions{Parallelism: 4})
+		_, err := BuildStoreContext(ctx, ds, StoreOptions{})
 		done <- err
 	}()
-
-	time.Sleep(20 * time.Millisecond) // let some pairs start
+	time.Sleep(wait)
 	cancel()
 	start := time.Now()
 	select {
@@ -107,55 +106,40 @@ func TestBuildStoreContextCancelMidBuild(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("build did not return within 2s of cancel")
 	}
-	// The dispatcher must have stopped handing out pairs: with 28 pairs
-	// at 50ms each on 4 workers the full build takes ~350ms, so a
-	// cancel at 20ms must leave most pairs undispatched.
-	if hits := faultinject.HitCount(faultinject.SiteCubeBuildPair); hits >= 28 {
-		t.Errorf("all %d pairs were dispatched despite cancellation", hits)
+}
+
+// TestBuildStoreContextCancelMidBuild is the acceptance check: cancel
+// while the store build is in flight, and the build must return
+// ctx.Err() within 100ms without leaking row-shard goroutines. The
+// store build is one shared scan (row-shard parallel here), so the
+// single batch site is the only build fault point; cancellation inside
+// the scan itself is pinned by TestBuildManyCancelMidScan.
+func TestBuildStoreContextCancelMidBuild(t *testing.T) {
+	defer testutil.VerifyNoLeak(t)()
+	defer faultinject.Reset()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	faultinject.Reset() // count this build's hits only
+	cancelDuringBuild(t, wideDataset(t, 8), 20*time.Millisecond)
+	if hits := faultinject.HitCount(faultinject.SiteCubeBatch); hits != 1 {
+		t.Errorf("batch site hit %d times, want 1: the store build is one scan", hits)
 	}
 }
 
 func TestBuildStoreContextSerialCancel(t *testing.T) {
 	defer testutil.VerifyNoLeak(t)()
 	defer faultinject.Reset()
-	ds := wideDataset(t, 6)
-	disarm, err := faultinject.Arm(faultinject.Fault{
-		Site:  faultinject.SiteCubeBuildPair,
-		Kind:  faultinject.Delay,
-		Delay: 50 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer disarm()
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	done := make(chan error, 1)
-	go func() {
-		_, err := BuildStoreContext(ctx, ds, StoreOptions{Parallelism: 1})
-		done <- err
-	}()
-	time.Sleep(10 * time.Millisecond)
-	cancel()
-	select {
-	case err := <-done:
-		if !errors.Is(err, context.Canceled) {
-			t.Errorf("err = %v, want context.Canceled", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("serial build did not return within 2s of cancel")
-	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	cancelDuringBuild(t, wideDataset(t, 6), 10*time.Millisecond)
 }
 
-// TestBuildStoreContextFaultError proves an injected pair-build error
-// fails the store build and still drains the worker pool cleanly.
+// TestBuildStoreContextFaultError proves an injected build error fails
+// the store build and leaves no goroutine behind.
 func TestBuildStoreContextFaultError(t *testing.T) {
 	defer testutil.VerifyNoLeak(t)()
 	defer faultinject.Reset()
 	ds := wideDataset(t, 8)
 	disarm, err := faultinject.Arm(faultinject.Fault{
-		Site:  faultinject.SiteCubeBuildPair,
+		Site:  faultinject.SiteCubeBatch,
 		Kind:  faultinject.Error,
 		Times: 1,
 	})
@@ -164,7 +148,7 @@ func TestBuildStoreContextFaultError(t *testing.T) {
 	}
 	defer disarm()
 
-	store, err := BuildStoreContext(context.Background(), ds, StoreOptions{Parallelism: 4})
+	store, err := BuildStoreContext(context.Background(), ds, StoreOptions{})
 	if !errors.Is(err, faultinject.ErrInjected) {
 		t.Fatalf("err = %v, want ErrInjected", err)
 	}
@@ -173,12 +157,15 @@ func TestBuildStoreContextFaultError(t *testing.T) {
 	}
 }
 
+// TestBuildStoreContextFaultOneD: a store over one attribute has no
+// pairs, so its 1-D cube gets a dedicated plan; the batch fault fails
+// that build too.
 func TestBuildStoreContextFaultOneD(t *testing.T) {
 	defer testutil.VerifyNoLeak(t)()
 	defer faultinject.Reset()
 	ds := wideDataset(t, 4)
 	disarm, err := faultinject.Arm(faultinject.Fault{
-		Site: faultinject.SiteCubeBuildOne,
+		Site: faultinject.SiteCubeBatch,
 		Kind: faultinject.Error,
 	})
 	if err != nil {
@@ -186,7 +173,7 @@ func TestBuildStoreContextFaultOneD(t *testing.T) {
 	}
 	defer disarm()
 
-	if _, err := BuildStoreContext(context.Background(), ds, StoreOptions{}); !errors.Is(err, faultinject.ErrInjected) {
+	if _, err := BuildStoreContext(context.Background(), ds, StoreOptions{Attrs: []int{0}}); !errors.Is(err, faultinject.ErrInjected) {
 		t.Fatalf("err = %v, want ErrInjected", err)
 	}
 }
@@ -199,14 +186,11 @@ func TestBuildStoreContextUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctxed, err := BuildStoreContext(context.Background(), ds, StoreOptions{Parallelism: 3})
+	ctxed, err := BuildStoreContext(context.Background(), ds, StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plain.CubeCount() != ctxed.CubeCount() {
-		t.Errorf("cube counts differ: %d vs %d", plain.CubeCount(), ctxed.CubeCount())
-	}
-	if ps, cs := plain.Stats(), ctxed.Stats(); ps != cs {
-		t.Errorf("store stats differ: %+v vs %+v", ps, cs)
+	if !reflect.DeepEqual(plain, ctxed) {
+		t.Error("context build differs from the context-free build")
 	}
 }

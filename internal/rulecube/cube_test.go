@@ -6,7 +6,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"opmap/internal/car"
 	"opmap/internal/dataset"
 )
 
@@ -352,14 +351,6 @@ func TestBuildStoreShapes(t *testing.T) {
 	if store.Cube2(0, 0) != nil {
 		t.Error("self-pair should not exist")
 	}
-	// SkipPairs.
-	s2, err := BuildStore(ds, StoreOptions{SkipPairs: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s2.CubeCount() != 2 {
-		t.Errorf("SkipPairs CubeCount = %d, want 2", s2.CubeCount())
-	}
 	if _, err := BuildStore(ds, StoreOptions{Attrs: []int{2}}); err == nil {
 		t.Error("class in store attrs should fail")
 	}
@@ -381,10 +372,12 @@ func TestStoreCubesMatchDirectBuild(t *testing.T) {
 	})
 }
 
+// TestRestrictedCube: restricted mining (Section III.B) is a build
+// over the sub-population the fixed conditions select.
 func TestRestrictedCube(t *testing.T) {
 	ds := fig1Dataset(t)
-	store, _ := BuildStore(ds, StoreOptions{SkipPairs: true})
-	cube, err := store.RestrictedCube([]car.Condition{{Attr: 0, Value: 0}}, []int{1})
+	sub := ds.Filter(func(r int) bool { return ds.CatCode(r, 0) == 0 })
+	cube, err := Build(sub, []int{1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,16 +1,19 @@
 package rulecube
 
 import (
-	"fmt"
+	"context"
+
+	"opmap/internal/dataset"
 )
 
 // This file is the incremental-maintenance path behind streaming
-// ingestion: contingency counts are additive, so an appended record
-// folds into a materialized cube as a single cell increment instead of
-// a rebuild. The only structural wrinkle is dictionary growth — cubes
-// share their dictionaries with the dataset, so when an appended row
-// registers a new label the cube's dims lag the dictionary until
-// SyncDims re-lays the counts array out for the larger domain.
+// ingestion: contingency counts are additive, so appended rows fold
+// into a materialized cube by counting just those rows with the shared
+// scan and summing the result in, instead of a rebuild. The only
+// structural wrinkle is dictionary growth — cubes share their
+// dictionaries with the dataset, so when an appended row registers a
+// new label the cube's dims lag the dictionary until SyncDims re-lays
+// the counts array out for the larger domain.
 
 // SyncDims grows the cube's dimensions (and class count) to match its
 // dictionaries after appended rows registered new labels, re-laying out
@@ -71,46 +74,53 @@ func (c *Cube) SyncDims() {
 	c.counts = nc
 }
 
-// ApplyRow folds one appended record into the cube. rowCodes holds the
-// record's categorical codes indexed by dataset attribute index (the
-// full working-dataset row), class is the class code. Rows with a
-// missing class or a missing value in any cube dimension are skipped —
-// exactly Build's rule — and reported as not applied. The caller must
-// have called SyncDims since the last dictionary growth; a code beyond
-// a dimension is an error, never a silent miscount.
-func (c *Cube) ApplyRow(rowCodes []int32, class int32) (bool, error) {
-	if class < 0 {
-		return false, nil
+// FoldRows adds rows [lo, hi) of ds — rows appended after the cubes
+// were counted — into every cube: one shared scan counts the range per
+// cube (each cube's own dimension order), then Cube.Merge sums each
+// count in, growing the cube first where the rows registered new
+// labels. Rows with a missing class or a missing value in a cube's
+// dimensions are skipped, as in any build. The cubes must be over ds
+// (sharing its dictionaries). A failed or canceled scan leaves every
+// cube untouched; a merge error can leave earlier cubes updated, so
+// callers treat any error as fatal to the cubes (the session drops and
+// rebuilds its engine). Metrics do not advance: no cube was built.
+func FoldRows(ctx context.Context, ds *dataset.Dataset, cubes []*Cube, lo, hi int) error {
+	if lo >= hi || len(cubes) == 0 {
+		return nil
 	}
-	if int(class) >= c.numClasses {
-		return false, fmt.Errorf("rulecube: class code %d beyond %d classes; SyncDims not run", class, c.numClasses)
+	reqs := dimLists(cubes)
+	if err := validateReqs(ds, reqs); err != nil {
+		return err
 	}
-	idx, ok, err := c.cellIndex(rowCodes)
-	if err != nil || !ok {
-		return false, err
+	counted, _, err := countRange(ctx, ds, reqs, lo, hi)
+	if err != nil {
+		return err
 	}
-	c.counts[idx*c.numClasses+int(class)]++
-	c.total++
-	return true, nil
+	return mergeEach(cubes, counted)
 }
 
-// ApplyRow folds one appended record into every materialized cube of
-// the store, growing dimensions first where dictionaries ran ahead.
-// rowCodes is the full working-dataset row (codes indexed by attribute
-// index), class the class code. The caller owns concurrency: the store
-// is not safe for writes concurrent with reads.
-func (st *Store) ApplyRow(rowCodes []int32, class int32) error {
-	for _, c := range st.oneD {
-		c.SyncDims()
-		if _, err := c.ApplyRow(rowCodes, class); err != nil {
-			return err
-		}
+// dimLists returns each cube's condition attributes in cube order.
+func dimLists(cubes []*Cube) [][]int {
+	reqs := make([][]int, len(cubes))
+	for i, c := range cubes {
+		reqs[i] = c.attrIdx
 	}
-	for _, c := range st.twoD {
-		c.SyncDims()
-		if _, err := c.ApplyRow(rowCodes, class); err != nil {
+	return reqs
+}
+
+// mergeEach sums counted[i] into cubes[i] for every i.
+func mergeEach(cubes, counted []*Cube) error {
+	for i, c := range cubes {
+		if err := c.Merge(counted[i], nil, nil); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// FoldRows adds rows [lo, hi) of the store's dataset into every
+// materialized cube (see the package-level FoldRows). The caller owns
+// concurrency: the store is not safe for writes concurrent with reads.
+func (st *Store) FoldRows(ctx context.Context, lo, hi int) error {
+	return FoldRows(ctx, st.ds, st.Cubes(), lo, hi)
 }

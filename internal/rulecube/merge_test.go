@@ -1,11 +1,14 @@
 package rulecube
 
 import (
+	"context"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
 
 	"opmap/internal/dataset"
+	"opmap/internal/obsv"
 )
 
 // shardDataset builds a three-attribute categorical dataset (A1, A2,
@@ -51,14 +54,6 @@ func TestAddCounts(t *testing.T) {
 	dst := []int64{1, 2, 3, 4}
 	AddCounts(dst, []int64{10, 0, 5})
 	if want := []int64{11, 2, 8, 4}; !reflect.DeepEqual(dst, want) {
-		t.Fatalf("dst = %v, want %v", dst, want)
-	}
-}
-
-func TestAddDelta(t *testing.T) {
-	dst := []int64{1, 2, 3}
-	AddDelta(dst, Delta{0: 5, 2: -1})
-	if want := []int64{6, 2, 2}; !reflect.DeepEqual(dst, want) {
 		t.Fatalf("dst = %v, want %v", dst, want)
 	}
 }
@@ -205,77 +200,84 @@ func TestCubeMergeDimensionMismatch(t *testing.T) {
 	}
 }
 
-// TestIngestRowsMatchesApplyRow: a batched ingest must land exactly
-// where the equivalent ApplyRow sequence lands.
-func TestIngestRowsMatchesApplyRow(t *testing.T) {
-	base := shardDataset(t, shard1Rows...)
-	stBatch, err := BuildStore(base, StoreOptions{})
+// TestStoreFoldRowsMatchesRecount: after appended batches fold in,
+// every cube — the store's 1-D and pair cubes and a separately built
+// 3-D cube — equals a brute-force recount of the grown dataset. The
+// batches register new labels and a new class mid-batch and carry
+// missing values and a missing class.
+func TestStoreFoldRowsMatchesRecount(t *testing.T) {
+	ctx := context.Background()
+	ds := shardDataset(t, shard1Rows...)
+	st, err := BuildStore(ds, StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	stRow, err := BuildStore(shardDataset(t, shard1Rows...), StoreOptions{})
+	tri, err := Build(ds, []int{1, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Grow the dictionaries the way appended rows would, including a
-	// label unseen at build time, then apply the same coded rows both
-	// ways. Row layout: [A1, A2, C]; -1 is a missing value.
-	growDicts := func(st *Store) {
-		st.Dataset().Column(0).Dict.Code("z")
-		st.Dataset().ClassDict().Code("new")
-	}
-	growDicts(stBatch)
-	growDicts(stRow)
-	rows := [][]int32{
-		{0, 1, 0},
-		{2, 0, 2}, // the fresh "z" value and "new" class
-		{-1, 2, 1},
-		{1, -1, 0},
-		{2, 2, -1}, // missing class: skipped everywhere
-	}
-	classes := make([]int32, len(rows))
-	for i, r := range rows {
-		classes[i] = r[2]
-	}
-	if err := stBatch.IngestRows(rows, classes); err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range rows {
-		if err := stRow.ApplyRow(r, classes[i]); err != nil {
+	scans := obsv.Default().Counter(CubeScansCounterName)
+	s0 := scans.Value()
+	for _, batch := range [][]string{
+		{"a f no", "z e yes", "z ? new", "b g ?"},
+		{"? ? yes", "c h no", "a h new", "b e ?"},
+	} {
+		n0 := ds.NumRows()
+		for _, row := range batch {
+			if err := ds.AppendRow(strings.Fields(row)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := st.FoldRows(ctx, n0, ds.NumRows()); err != nil {
+			t.Fatal(err)
+		}
+		if err := FoldRows(ctx, ds, []*Cube{tri}, n0, ds.NumRows()); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if !reflect.DeepEqual(stBatch, stRow) {
-		t.Fatal("batched IngestRows differs from row-by-row ApplyRow")
+	for _, c := range append(st.Cubes(), tri) {
+		want, total := naiveCells(ds, c.AttrIndices())
+		if c.Total() != total || !reflect.DeepEqual(cubeCells(c), want) {
+			t.Errorf("cube %v differs from the brute-force recount after ingest", c.AttrIndices())
+		}
+		for pos, a := range c.AttrIndices() {
+			if c.Dim(pos) != ds.Cardinality(a) {
+				t.Errorf("cube %v dimension %d = %d, dictionary has %d", c.AttrIndices(), pos, c.Dim(pos), ds.Cardinality(a))
+			}
+		}
+		if c.NumClasses() != ds.NumClasses() {
+			t.Errorf("cube %v has %d classes, dataset %d", c.AttrIndices(), c.NumClasses(), ds.NumClasses())
+		}
+	}
+	if d := scans.Value() - s0; d != 0 {
+		t.Errorf("ingest advanced the scan counter by %d; folding is not a build", d)
 	}
 }
 
-func TestIngestRowsValidatesBeforeMutating(t *testing.T) {
+// TestFoldRowsCanceledLeavesCubesUntouched: a canceled fold merges
+// nothing.
+func TestFoldRowsCanceledLeavesCubesUntouched(t *testing.T) {
 	ds := shardDataset(t, shard1Rows...)
-	c, err := Build(ds, []int{0})
+	st, err := BuildStore(ds, StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := append([]int64(nil), c.counts...)
-	total := c.total
-	// Second row's value code is beyond the dimension (dict not grown):
-	// the whole batch must be rejected with nothing applied.
-	_, err = c.IngestRows([][]int32{{0, 0, 0}, {99, 0, 0}}, []int32{0, 0})
-	if err == nil {
-		t.Fatal("expected error for out-of-range code")
-	}
-	if !reflect.DeepEqual(c.counts, before) || c.total != total {
-		t.Fatal("failed batch mutated the cube")
-	}
-}
-
-func TestIngestRowsLengthMismatch(t *testing.T) {
-	ds := shardDataset(t, shard1Rows...)
-	c, err := Build(ds, []int{0})
-	if err != nil {
+	n0 := ds.NumRows()
+	if err := ds.AppendRow([]string{"a", "e", "yes"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.IngestRows([][]int32{{0, 0, 0}}, []int32{0, 1}); err == nil {
-		t.Fatal("expected length-mismatch error")
+	var before []int64
+	for _, c := range st.Cubes() {
+		before = append(before, c.Total())
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := st.FoldRows(ctx, n0, ds.NumRows()); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	for i, c := range st.Cubes() {
+		if c.Total() != before[i] {
+			t.Errorf("canceled fold changed cube %v", c.AttrIndices())
+		}
 	}
 }

@@ -81,7 +81,7 @@ func TestNDCubeMatchesBruteForce(t *testing.T) {
 
 			// The batch path must produce the identical cube, including
 			// when the request rides alongside others and a duplicate.
-			reqs := []CubeReq{CubeReqOf(attrs), {A: attrs[0], B: attrs[1]}, CubeReqOf(attrs)}
+			reqs := [][]int{attrs, {attrs[0], attrs[1]}, attrs}
 			cubes, err := BuildMany(context.Background(), ds, reqs)
 			if err != nil {
 				t.Fatal(err)

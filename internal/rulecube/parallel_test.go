@@ -2,25 +2,29 @@ package rulecube_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"opmap/internal/rulecube"
 	"opmap/internal/workload"
 )
 
-// TestParallelStoreMatchesSerial: pair counting must be identical under
-// any parallelism.
+// TestParallelStoreMatchesSerial: store counts must be identical under
+// any parallelism — GOMAXPROCS row shards of the one store scan.
 func TestParallelStoreMatchesSerial(t *testing.T) {
-	ds, err := workload.Scale(workload.ScaleConfig{Seed: 3, Records: 20000, Attrs: 12})
+	ds, err := workload.Scale(workload.ScaleConfig{Seed: 3, Records: 140000, Attrs: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := rulecube.BuildStore(ds, rulecube.StoreOptions{Parallelism: 1})
+	old := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(old)
+	serial, err := rulecube.BuildStore(ds, rulecube.StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{0, 2, 4, 16} {
-		parallel, err := rulecube.BuildStore(ds, rulecube.StoreOptions{Parallelism: workers})
+	for _, workers := range []int{2, 4, 16} {
+		runtime.GOMAXPROCS(workers)
+		parallel, err := rulecube.BuildStore(ds, rulecube.StoreOptions{})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -61,7 +65,7 @@ func TestConcurrentReadersDuringForEach(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store, err := rulecube.BuildStore(ds, rulecube.StoreOptions{Parallelism: 4})
+	store, err := rulecube.BuildStore(ds, rulecube.StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,8 +138,10 @@ func TestParallelStoreMoreWorkersThanPairs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 3 pairs, 64 requested workers: must clamp and still work.
-	store, err := rulecube.BuildStore(ds, rulecube.StoreOptions{Parallelism: 64})
+	// 3 pairs and one row block, 64 procs: the scan must clamp its
+	// shards and still work.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(64))
+	store, err := rulecube.BuildStore(ds, rulecube.StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

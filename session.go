@@ -381,6 +381,9 @@ func (s *Session) discretizer(opts DiscretizeOptions) (discretize.Discretizer, e
 // after a re-discretize or resample, counts from the old cube space
 // must be neither served nor inserted.
 func (s *Session) dropEngine() {
+	if c, ok := s.src.(interface{ Close() }); ok {
+		c.Close()
+	}
 	s.store = nil
 	s.src = nil
 	s.lazy = nil
@@ -434,9 +437,8 @@ func (s *Session) BuildCubes() error {
 }
 
 // BuildCubesContext is BuildCubes under a context: cancellation stops
-// the cube counting promptly (between individual cube builds) and
-// returns ctx.Err() without leaking the parallel pair-counting
-// workers.
+// the cube counting promptly (between row blocks of the one shared
+// scan) and returns ctx.Err() without leaking the row-shard workers.
 func (s *Session) BuildCubesContext(ctx context.Context) error {
 	return s.BuildCubesForContext(ctx, nil)
 }
