@@ -162,10 +162,19 @@ if "$smokedir/opmapd" -probe "$addr2/api/overview?dataset=nowhere" >/dev/null 2>
     echo "unknown dataset name was not rejected" >&2
     exit 1
 fi
-# The same compare twice: the first materializes pair cubes on demand,
-# the second is served from the versioned result cache.
+# The same compare twice: the first materializes its whole working set
+# (every pair cube it ranks) in exactly one shared scan, the second is
+# served from the versioned result cache. The overview probes above
+# already counted each attribute's 1-D cube, so the gate reads the
+# scan counter's advance across the first compare.
 compare2="$addr2/api/compare?attr=Phone-Model&v1=ph1&v2=ph2&class=dropped-in-progress&dataset=west"
+scans_before=$("$smokedir/opmapd" -probe "$addr2/metrics" | sed -n 's/^opmap_cube_scans_total //p')
 "$smokedir/opmapd" -probe "$compare2" | grep -q '"ranked"'
+scans_after=$("$smokedir/opmapd" -probe "$addr2/metrics" | sed -n 's/^opmap_cube_scans_total //p')
+if [ "$((scans_after - scans_before))" -ne 1 ]; then
+    echo "cold lazy compare took $((scans_after - scans_before)) scans ($scans_before -> $scans_after), want exactly 1" >&2
+    exit 1
+fi
 "$smokedir/opmapd" -probe "$compare2" | grep -q '"ranked"'
 "$smokedir/opmapd" -probe "$addr2/metrics" >"$smokedir/metrics2"
 if grep -qF 'opmap_cube_cache_misses_total 0' "$smokedir/metrics2"; then

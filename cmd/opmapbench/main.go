@@ -521,15 +521,21 @@ func benchBatch(ctx context.Context, records int, seed int64) (batchBench, error
 		keepMin(&bb.BatchBuildMs, msSince(start))
 	}
 
-	// Sequential sweep on a cold lazy engine: one build per cube, but
-	// cubes are cached and reused across the value pairs.
+	// Sequential sweep on a cold lazy engine: the same working set
+	// faulted in one CubeN call (one scan) per cube, then the sweep
+	// over the now-resident cubes.
 	seqEng, err := engine.NewLazy(ds, engine.LazyOptions{})
 	if err != nil {
 		return bb, err
 	}
 	s0 := scans.Value()
 	start := time.Now()
-	if _, err := compare.NewSource(seqEng).SweepContext(ctx, attr, cls, compare.SweepOptions{DisableBatch: true}); err != nil {
+	for _, rq := range reqs {
+		if _, err := seqEng.CubeN(ctx, rq); err != nil {
+			return bb, err
+		}
+	}
+	if _, err := compare.NewSource(seqEng).SweepContext(ctx, attr, cls, compare.SweepOptions{}); err != nil {
 		return bb, err
 	}
 	bb.SeqSweepMs = msSince(start)

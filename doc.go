@@ -18,11 +18,12 @@
 //	// phones on the drop rate; cmp.PropertyAttributes() holds the
 //	// attributes set aside per Section IV.C of the paper.
 //
-// Fan-out comparisons — Sweep over every significant value pair, or
-// CompareOneVsRestAll over every value of the attribute — declare
-// their complete cube working set to the engine up front, which
-// materializes all missing cubes in one shared dataset scan instead
-// of one scan per pair.
+// Every comparison declares its complete cube working set to the
+// engine up front, which materializes all missing cubes in one shared
+// dataset scan instead of one scan per pair. Fan-out comparisons —
+// Sweep over every significant value pair, or CompareOneVsRestAll over
+// every value of the attribute — repeat one working set, so they share
+// that one scan too.
 //
 // DrillDown searches past the one-attribute ranking for condition
 // conjunctions: a beam search over rule cubes of three and more

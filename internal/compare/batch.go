@@ -6,37 +6,56 @@ import (
 	"fmt"
 
 	"opmap/internal/dataset"
+	"opmap/internal/rulecube"
 )
 
-// Batch comparison support. A sweep or a one-vs-rest run over every
-// value of an attribute knows its complete cube working set before the
-// first comparison starts: the split attribute's 1-D cube, one pair
-// cube per candidate attribute, and (for one-vs-rest) each candidate's
-// 1-D marginal. Declaring that set through engine.CubeSource.Cubes lets
-// a lazy source materialize every missing cube from ONE shared dataset
-// scan (rulecube.BuildMany) instead of one scan per cube.
+// Batch comparison support. Every comparison declares its cube working
+// set up front (workingSet: the split attribute's 1-D cube, one pair
+// cube per candidate and, for one-vs-rest, each candidate's 1-D
+// marginal) through engine.CubeSource.Cubes, so a lazy source
+// materializes every missing cube from ONE shared dataset scan
+// (rulecube.BuildMany) instead of one scan per cube. A fan-out over
+// many comparisons on the same split attribute — a one-vs-rest over
+// every value — repeats the same set, so its first comparison's fetch
+// is the fan-out's only scan.
 
-// prefetchPairs bulk-materializes the split attribute's 1-D cube and
-// the (split, candidate) pair cube for every candidate — plus each
-// candidate's own 1-D marginal when withMarginals is set (the
-// one-vs-rest table needs it). Candidate-list validation errors are
-// returned; anything else is best-effort: attributes outside the
-// source's served set are left out, and a failed bulk build is ignored,
-// so the sequential loop reproduces any real failure with its usual
-// shape (and partial modes can still degrade per item).
-func (c *Comparator) prefetchPairs(ctx context.Context, attr int, explicit []int, withMarginals bool) error {
-	attrs, err := resolveRankAttrs(c.ds, attr, explicit)
+// workingSet lists the cubes one comparison split on attr reads: the
+// split attribute's 1-D cube, then the (attr, candidate) pair cube for
+// every candidate, each followed by the candidate's 1-D marginal when
+// marginals is set (one-vs-rest needs it). Every list is a window of
+// one backing array, and a marginal is the tail of its pair's window.
+func workingSet(attr int, attrs []int, marginals bool) [][]int {
+	per := 1
+	if marginals {
+		per = 2
+	}
+	buf := make([]int, 1+2*len(attrs))
+	reqs := make([][]int, 1, 1+per*len(attrs))
+	buf[0] = attr
+	reqs[0] = buf[0:1:1]
+	for i, ai := range attrs {
+		j := 1 + 2*i
+		buf[j], buf[j+1] = attr, ai
+		reqs = append(reqs, buf[j:j+2:j+2])
+		if marginals {
+			reqs = append(reqs, buf[j+1:j+2:j+2])
+		}
+	}
+	return reqs
+}
+
+// fetch resolves a comparison's working set in one CubeSource.Cubes
+// call. A failure while the context is done is reported as ctx.Err()
+// itself; any other failure names the comparison attribute.
+func (c *Comparator) fetch(ctx context.Context, attr int, reqs [][]int) ([]*rulecube.Cube, error) {
+	cubes, err := c.src.Cubes(ctx, reqs)
 	if err != nil {
-		return err
+		if ctxErr := ctx.Err(); ctxErr != nil {
+			return nil, ctxErr
+		}
+		return nil, fmt.Errorf("compare: cubes for attribute %d unavailable: %w", attr, err)
 	}
-	reqs := batchReqsFor(c.src.Attrs(), attr, attrs, withMarginals)
-	if reqs == nil {
-		return nil // let the sequential path report the unavailable attribute
-	}
-	if _, err := c.src.Cubes(ctx, reqs); err != nil {
-		return nil // best-effort: the per-cube path will surface real failures
-	}
-	return nil
+	return cubes, nil
 }
 
 // annotateSkippedValues marks the value range [from, card) as skipped
@@ -47,41 +66,11 @@ func annotateSkippedValues(res *OneVsRestAllResult, dict *dataset.Dictionary, fr
 	}
 }
 
-// batchReqsFor assembles the bulk cube request list for a fan-out over
-// attr ranking attrs: the split attribute's 1-D cube, each served
-// candidate's pair cube, and (withMarginals) its 1-D marginal. A nil
-// return means the split attribute itself is not served.
-func batchReqsFor(servedList []int, attr int, attrs []int, withMarginals bool) [][]int {
-	served := make(map[int]bool, len(servedList))
-	for _, a := range servedList {
-		served[a] = true
-	}
-	if !served[attr] {
-		return nil
-	}
-	reqs := make([][]int, 0, 2*len(attrs)+1)
-	reqs = append(reqs, []int{attr})
-	for _, ai := range attrs {
-		if !served[ai] {
-			continue
-		}
-		reqs = append(reqs, []int{attr, ai})
-		if withMarginals {
-			reqs = append(reqs, []int{ai})
-		}
-	}
-	return reqs
-}
-
 // OneVsRestAllOptions configures a one-vs-rest comparison over every
 // value of the split attribute.
 type OneVsRestAllOptions struct {
 	// Compare tunes each per-value one-vs-rest ranking.
 	Compare Options
-	// DisableBatch turns off the up-front shared-scan cube prefetch so
-	// every cube is faulted in one by one. Results are identical either
-	// way; the flag exists for benchmarking and oracle tests.
-	DisableBatch bool
 }
 
 // OneVsRestAllResult aggregates the one-vs-rest rankings of every value
@@ -113,12 +102,12 @@ func (c *Comparator) OneVsRestAll(attr int, class int32, opts OneVsRestAllOption
 	return c.OneVsRestAllContext(context.Background(), attr, class, opts)
 }
 
-// OneVsRestAllContext is OneVsRestAll under a context. Its full cube
-// working set is declared up front so a lazy source serves the whole
-// run from one shared dataset scan. With Compare.PartialOnDeadline set,
-// a context that expires mid-run yields the values ranked so far with
-// Partial set and the rest annotated in Skipped; otherwise the call
-// fails with the first error.
+// OneVsRestAllContext is OneVsRestAll under a context. Every value's
+// one-vs-rest declares the same cube working set, so a lazy source
+// serves the whole run from the first value's one shared dataset scan.
+// With Compare.PartialOnDeadline set, a context that expires mid-run
+// yields the values ranked so far with Partial set and the rest
+// annotated in Skipped; otherwise the call fails with the first error.
 func (c *Comparator) OneVsRestAllContext(ctx context.Context, attr int, class int32, opts OneVsRestAllOptions) (*OneVsRestAllResult, error) {
 	ds := c.ds
 	if attr < 0 || attr >= ds.NumAttrs() || attr == ds.ClassIndex() {
@@ -127,15 +116,10 @@ func (c *Comparator) OneVsRestAllContext(ctx context.Context, attr int, class in
 	if class < 0 || int(class) >= ds.NumClasses() {
 		return nil, fmt.Errorf("compare: class %d out of range [0,%d)", class, ds.NumClasses())
 	}
-	// Validate the candidate list up front on both paths, so a bad
-	// explicit list fails identically with and without batching.
+	// Validate the candidate list up front, so a bad explicit list fails
+	// the call even when no value reaches a comparison.
 	if _, err := resolveRankAttrs(ds, attr, opts.Compare.Attrs); err != nil {
 		return nil, err
-	}
-	if !opts.DisableBatch {
-		if err := c.prefetchPairs(ctx, attr, opts.Compare.Attrs, true); err != nil {
-			return nil, err
-		}
 	}
 	dict := ds.Column(attr).Dict
 	res := &OneVsRestAllResult{Attr: attr}

@@ -10,6 +10,7 @@ import (
 	"opmap/internal/engine"
 	"opmap/internal/obsv"
 	"opmap/internal/rulecube"
+	"opmap/internal/testutil"
 )
 
 // batchSources builds the planted call log with an eager and a cold
@@ -29,80 +30,63 @@ func batchSources(t testing.TB, records, noise int) (*Comparator, *Comparator, i
 	return New(store), NewSource(lazy), attr, cls
 }
 
-// TestSweepBatchOracle is the tentpole oracle: a batched sweep must be
-// byte-for-byte identical to the per-pair sequential loop, on the eager
-// store and on a cold lazy engine.
+// TestSweepBatchOracle: a sweep on a cold lazy engine, whose cubes come
+// from shared scans, must be byte-for-byte identical to the same sweep
+// over the eager store.
 func TestSweepBatchOracle(t *testing.T) {
 	eager, lazy, attr, cls := batchSources(t, 30000, 3)
-	ref, err := eager.Sweep(attr, cls, SweepOptions{DisableBatch: true})
+	ref, err := eager.Sweep(attr, cls, SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ref.PairsCompared == 0 {
 		t.Fatal("reference sweep compared nothing")
 	}
-	for name, c := range map[string]*Comparator{"eager": eager, "lazy": lazy} {
-		got, err := c.Sweep(attr, cls, SweepOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, ref) {
-			t.Errorf("%s: batched sweep differs from sequential reference", name)
-		}
+	got, err := lazy.Sweep(attr, cls, SweepOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, ref) {
+		t.Error("lazy sweep differs from the eager reference")
 	}
 }
 
 // TestOneVsRestAllBatchOracle checks the all-values one-vs-rest the
-// same way, on both sources and with a restricted candidate list.
+// same way, with and without a restricted candidate list.
 func TestOneVsRestAllBatchOracle(t *testing.T) {
 	eager, lazy, attr, cls := batchSources(t, 30000, 3)
 	for _, opts := range []Options{{}, {Attrs: []int{1, 2}}} {
-		ref, err := eager.OneVsRestAll(attr, cls, OneVsRestAllOptions{Compare: opts, DisableBatch: true})
+		ref, err := eager.OneVsRestAll(attr, cls, OneVsRestAllOptions{Compare: opts})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(ref.Results) == 0 {
 			t.Fatal("reference one-vs-rest-all ranked nothing")
 		}
-		for name, c := range map[string]*Comparator{"eager": eager, "lazy": lazy} {
-			got, err := c.OneVsRestAll(attr, cls, OneVsRestAllOptions{Compare: opts})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, ref) {
-				t.Errorf("%s (opts %+v): batched one-vs-rest-all differs from sequential reference", name, opts)
-			}
+		got, err := lazy.OneVsRestAll(attr, cls, OneVsRestAllOptions{Compare: opts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, ref) {
+			t.Errorf("opts %+v: lazy one-vs-rest-all differs from the eager reference", opts)
 		}
 	}
 }
 
 // TestSweepSingleScan asserts the acceptance criterion directly: a full
-// batched sweep over a cold lazy engine performs exactly one dataset
-// scan, where the sequential loop performs one per cube.
+// sweep over a cold lazy engine performs exactly one dataset scan, and
+// repeating it on the now-warm engine performs none.
 func TestSweepSingleScan(t *testing.T) {
 	_, lazy, attr, cls := batchSources(t, 20000, 3)
 	scans := obsv.Default().Counter(rulecube.CubeScansCounterName)
-	s0 := scans.Value()
-	if _, err := lazy.Sweep(attr, cls, SweepOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	if d := scans.Value() - s0; d != 1 {
-		t.Errorf("batched sweep performed %d scans, want exactly 1", d)
-	}
-
-	// The sequential loop on a second cold engine pays one scan per cube.
-	_, gt, ds := buildCaseStudy(t, 20000, 3)
-	cold, err := engine.NewLazy(ds, engine.LazyOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := ds.AttrIndex(gt.PhoneAttr)
-	s1 := scans.Value()
-	if _, err := NewSource(cold).Sweep(a, cls, SweepOptions{DisableBatch: true}); err != nil {
-		t.Fatal(err)
-	}
-	if d := scans.Value() - s1; d <= 1 {
-		t.Errorf("sequential sweep performed %d scans, expected one per cube", d)
+	for _, want := range []int64{1, 0} {
+		s0 := scans.Value()
+		if _, err := lazy.Sweep(attr, cls, SweepOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		if d := scans.Value() - s0; d != want {
+			t.Errorf("sweep performed %d scans, want %d", d, want)
+		}
 	}
 }
 
@@ -213,12 +197,12 @@ func FuzzSweepOptions(f *testing.F) {
 		f.Fatal("ground truth class missing")
 	}
 	c := New(store)
-	f.Add(0, 0.0, false)
-	f.Add(-3, 0.0, true)
-	f.Add(2, math.Inf(1), false)
-	f.Add(1, -1.5, true)
-	f.Fuzz(func(t *testing.T, topK int, minScore float64, disableBatch bool) {
-		opts := SweepOptions{TopK: topK, MinScore: minScore, DisableBatch: disableBatch}
+	f.Add(0, 0.0)
+	f.Add(-3, 0.0)
+	f.Add(2, math.Inf(1))
+	f.Add(1, -1.5)
+	f.Fuzz(func(t *testing.T, topK int, minScore float64) {
+		opts := SweepOptions{TopK: topK, MinScore: minScore}
 		res, err := c.Sweep(attr, cls, opts)
 		if topK < 0 || math.IsNaN(minScore) {
 			if err == nil {
@@ -248,5 +232,75 @@ func TestSweepBatchContext(t *testing.T) {
 	cancel()
 	if _, err := lazy.SweepContext(ctx, attr, cls, SweepOptions{}); !errors.Is(err, context.Canceled) {
 		t.Errorf("canceled batched sweep: got %v", err)
+	}
+}
+
+// TestCompareOneScanContract pins the working-set contract: on a fresh
+// lazy source a pairwise compare and a one-vs-rest, each over 12
+// candidates, take exactly one dataset scan cold and none warm, and
+// every pair cube they request is counted once in the cache statistics
+// (a hit or a miss, never both, never twice). A cold one-vs-rest over
+// every value is one scan too.
+func TestCompareOneScanContract(t *testing.T) {
+	defer testutil.VerifyNoLeak(t)()
+	_, gt, ds := buildCaseStudy(t, 8000, 12)
+	in := inputFor(t, ds, gt)
+	cands := defaultRankAttrs(ds, in.Attr)
+	if len(cands) < 12 {
+		t.Fatalf("fixture has %d candidates, need 12", len(cands))
+	}
+	opts := Options{Attrs: cands[:12]}
+	scans := obsv.Default().Counter(rulecube.CubeScansCounterName)
+	for _, tc := range []struct {
+		name string
+		run  func(c *Comparator) error
+	}{
+		{"pairwise", func(c *Comparator) error {
+			_, err := c.Compare(in, opts)
+			return err
+		}},
+		{"one-vs-rest", func(c *Comparator) error {
+			_, err := c.OneVsRest(OneVsRestInput{Attr: in.Attr, Value: in.V2, Class: in.Class}, opts)
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			src, err := engine.NewLazy(ds, engine.LazyOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer src.Close()
+			c := NewSource(src)
+			for _, want := range []int64{1, 0} {
+				s0, st0 := scans.Value(), src.Stats()
+				if err := tc.run(c); err != nil {
+					t.Fatal(err)
+				}
+				if d := scans.Value() - s0; d != want {
+					t.Errorf("advanced %s by %d, want %d", rulecube.CubeScansCounterName, d, want)
+				}
+				st := src.Stats()
+				hits, misses := st.Hits-st0.Hits, st.Misses-st0.Misses
+				if hits+misses != int64(len(opts.Attrs)) {
+					t.Errorf("hits %d + misses %d, want one per pair cube (%d)", hits, misses, len(opts.Attrs))
+				}
+				if want == 0 && misses != 0 {
+					t.Errorf("warm call missed %d cubes", misses)
+				}
+			}
+		})
+	}
+
+	src, err := engine.NewLazy(ds, engine.LazyOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	s0 := scans.Value()
+	if _, err := NewSource(src).OneVsRestAllContext(context.Background(), in.Attr, in.Class, OneVsRestAllOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if d := scans.Value() - s0; d != 1 {
+		t.Errorf("cold one-vs-rest over every value took %d scans, want 1", d)
 	}
 }

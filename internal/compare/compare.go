@@ -278,32 +278,35 @@ func ctxOrFault(ctx context.Context, site string) error {
 }
 
 // CompareContext is Compare under a context, checked once per
-// candidate attribute. It is always strict: on cancellation it returns
+// candidate attribute. After the input validates it fetches the whole
+// working set — the comparison attribute's 1-D cube and one pair cube
+// per candidate — in one CubeSource.Cubes call, so a lazy source
+// answers every miss from a single shared scan and the scoring loop
+// only reads cubes. It is always strict: on cancellation it returns
 // ctx.Err() rather than a partial ranking (degradation belongs to the
 // fan-out callers, SweepContext and OneVsRestContext).
 func (c *Comparator) CompareContext(ctx context.Context, in Input, opts Options) (*Result, error) {
-	total := func() (int64, error) {
-		// The comparison attribute's 1-D cube totals the countable
-		// records (attribute and class both present) — the same
-		// population OneVsRest totals over, and, unlike the working
-		// dataset's physical row count, correct for sessions restored
-		// from a snapshot whose dataset holds only post-restore rows.
-		cube, err := c.src.Cube1(ctx, in.Attr)
-		if err != nil {
-			return 0, fmt.Errorf("compare: attribute %d unavailable: %w", in.Attr, err)
-		}
-		return cube.Total(), nil
+	attrs, err := validateInput(c.ds, in, opts)
+	if err != nil {
+		return nil, err
 	}
-	res, attrs, err := prepare(c.ds, in, opts, total, func(attr int, value, class int32) (condCount, supCount int64, err error) {
-		cube, err := c.src.Cube1(ctx, attr)
-		if err != nil {
-			return 0, 0, fmt.Errorf("compare: attribute %d unavailable: %w", attr, err)
-		}
-		cond, err := cube.CondCount([]int32{value})
+	cubes, err := c.fetch(ctx, in.Attr, workingSet(in.Attr, attrs, false))
+	if err != nil {
+		return nil, err
+	}
+	// The comparison attribute's 1-D cube counts the input rules and
+	// totals the countable records (attribute and class both present)
+	// — the same population OneVsRest totals over, and, unlike the
+	// working dataset's physical row count, correct for sessions
+	// restored from a snapshot whose dataset holds only post-restore
+	// rows.
+	split := cubes[0]
+	res, err := orient(c.ds, in, opts, split.Total(), func(value, class int32) (condCount, supCount int64, err error) {
+		cond, err := split.CondCount([]int32{value})
 		if err != nil {
 			return 0, 0, err
 		}
-		sup, err := cube.Count([]int32{value}, class)
+		sup, err := split.Count([]int32{value}, class)
 		if err != nil {
 			return 0, 0, err
 		}
@@ -320,7 +323,7 @@ func (c *Comparator) CompareContext(ctx context.Context, in Input, opts Options)
 	if obsv.HotArmed() {
 		attrTimes = obsv.Default().Histogram(obsv.CompareAttrHistogramName, nil)
 	}
-	for _, ai := range attrs {
+	for i, ai := range attrs {
 		if err := ctxOrFault(ctx, faultinject.SiteCompareAttr); err != nil {
 			return nil, err
 		}
@@ -328,11 +331,7 @@ func (c *Comparator) CompareContext(ctx context.Context, in Input, opts Options)
 		if attrTimes != nil {
 			attrStart = time.Now()
 		}
-		cube, err := c.src.Cube2(ctx, in.Attr, ai)
-		if err != nil {
-			return nil, fmt.Errorf("compare: pair cube (%d,%d) unavailable: %w", in.Attr, ai, err)
-		}
-		tab, err := pairTable(cube, in.Attr, ai, res.v1, res.v2, in.Class)
+		tab, err := pairTable(cubes[1+i], in.Attr, ai, res.v1, res.v2, in.Class)
 		if err != nil {
 			return nil, err
 		}
@@ -440,48 +439,49 @@ func (c *computation) finish() {
 }
 
 // ruleCounter abstracts how the two input rules' counts are obtained
-// (cube store vs. raw scan).
-type ruleCounter func(attr int, value, class int32) (condCount, supCount int64, err error)
+// (cube store vs. raw scan): the records with the comparison attribute
+// at value, and of those the ones in class.
+type ruleCounter func(value, class int32) (condCount, supCount int64, err error)
 
-// prepare validates the input, counts the two input rules, orients them
-// so cf1 < cf2, and resolves the candidate attribute list. total is
-// called only after the input validates; it supplies the record count
-// the input rules' Support is relative to (records where the
-// comparison attribute and the class are both present).
-func prepare(ds *dataset.Dataset, in Input, opts Options, total func() (int64, error), count ruleCounter) (*computation, []int, error) {
+// validateInput checks the comparison attribute, the two values and
+// the class, and resolves the candidate attribute list.
+func validateInput(ds *dataset.Dataset, in Input, opts Options) ([]int, error) {
 	if in.Attr < 0 || in.Attr >= ds.NumAttrs() || in.Attr == ds.ClassIndex() {
-		return nil, nil, fmt.Errorf("compare: invalid comparison attribute %d", in.Attr)
+		return nil, fmt.Errorf("compare: invalid comparison attribute %d", in.Attr)
 	}
 	card := ds.Cardinality(in.Attr)
 	if in.V1 < 0 || int(in.V1) >= card || in.V2 < 0 || int(in.V2) >= card {
-		return nil, nil, fmt.Errorf("compare: values %d,%d out of range [0,%d) for attribute %q", in.V1, in.V2, card, ds.Attr(in.Attr).Name)
+		return nil, fmt.Errorf("compare: values %d,%d out of range [0,%d) for attribute %q", in.V1, in.V2, card, ds.Attr(in.Attr).Name)
 	}
 	if in.V1 == in.V2 {
-		return nil, nil, fmt.Errorf("compare: the two values must differ")
+		return nil, fmt.Errorf("compare: the two values must differ")
 	}
 	if in.Class < 0 || int(in.Class) >= ds.NumClasses() {
-		return nil, nil, fmt.Errorf("compare: class %d out of range [0,%d)", in.Class, ds.NumClasses())
+		return nil, fmt.Errorf("compare: class %d out of range [0,%d)", in.Class, ds.NumClasses())
 	}
+	return resolveRankAttrs(ds, in.Attr, opts.Attrs)
+}
 
-	n1, c1, err := count(in.Attr, in.V1, in.Class)
+// orient counts the two input rules of a validated input and orients
+// them so cf1 < cf2. total is the record count the rules' Support is
+// relative to (records where the comparison attribute and the class
+// are both present).
+func orient(ds *dataset.Dataset, in Input, opts Options, total int64, count ruleCounter) (*computation, error) {
+	n1, c1, err := count(in.V1, in.Class)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	n2, c2, err := count(in.Attr, in.V2, in.Class)
+	n2, c2, err := count(in.V2, in.Class)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if opts.MinRuleSupport > 0 {
 		if n1 < opts.MinRuleSupport || n2 < opts.MinRuleSupport {
-			return nil, nil, fmt.Errorf("compare: sub-population sizes %d and %d below MinRuleSupport %d", n1, n2, opts.MinRuleSupport)
+			return nil, fmt.Errorf("compare: sub-population sizes %d and %d below MinRuleSupport %d", n1, n2, opts.MinRuleSupport)
 		}
 	}
 	if n1 == 0 || n2 == 0 {
-		return nil, nil, fmt.Errorf("compare: empty sub-population (|D1|=%d, |D2|=%d)", n1, n2)
-	}
-	tot, err := total()
-	if err != nil {
-		return nil, nil, err
+		return nil, fmt.Errorf("compare: empty sub-population (|D1|=%d, |D2|=%d)", n1, n2)
 	}
 
 	mk := func(v int32, cond, sup int64) car.Rule {
@@ -490,7 +490,7 @@ func prepare(ds *dataset.Dataset, in Input, opts Options, total func() (int64, e
 			Class:      in.Class,
 			SupCount:   sup,
 			CondCount:  cond,
-			Total:      tot,
+			Total:      total,
 		}
 	}
 	r1, r2 := mk(in.V1, n1, c1), mk(in.V2, n2, c2)
@@ -502,12 +502,7 @@ func prepare(ds *dataset.Dataset, in Input, opts Options, total func() (int64, e
 	}
 	cf1, cf2 := r1.Confidence(), r2.Confidence()
 	if r1.SupCount == 0 {
-		return nil, nil, fmt.Errorf("compare: rule %s has zero confidence; the expectation ratio cf2/cf1 is undefined", r1.Format(ds))
-	}
-
-	attrs, err := resolveRankAttrs(ds, in.Attr, opts.Attrs)
-	if err != nil {
-		return nil, nil, err
+		return nil, fmt.Errorf("compare: rule %s has zero confidence; the expectation ratio cf2/cf1 is undefined", r1.Format(ds))
 	}
 
 	res := &Result{
@@ -519,7 +514,7 @@ func prepare(ds *dataset.Dataset, in Input, opts Options, total func() (int64, e
 		Ratio:   cf2 / cf1,
 		Options: opts,
 	}
-	return &computation{result: res, v1: in.V1, v2: in.V2}, attrs, nil
+	return &computation{result: res, v1: in.V1, v2: in.V2}, nil
 }
 
 // scoreAttribute computes M_i (Eq. 1–3) and the property classification
@@ -611,23 +606,22 @@ func Scan(ds *dataset.Dataset, in Input, opts Options) (*Result, error) {
 	if !ds.AllCategorical() {
 		return nil, fmt.Errorf("compare: dataset has continuous attributes; discretize first")
 	}
-	total := func() (int64, error) {
-		// Mirror the cube path's population exactly: records where the
-		// comparison attribute and the class are both present.
-		var n int64
-		col := ds.Column(in.Attr).Codes
-		cls := ds.Column(ds.ClassIndex()).Codes
-		for r := range col {
-			if col[r] >= 0 && cls[r] >= 0 {
-				n++
-			}
-		}
-		return n, nil
+	attrs, err := validateInput(ds, in, opts)
+	if err != nil {
+		return nil, err
 	}
-	res, attrs, err := prepare(ds, in, opts, total, func(attr int, value, class int32) (int64, int64, error) {
+	// Mirror the cube path's population exactly: records where the
+	// comparison attribute and the class are both present.
+	col := ds.Column(in.Attr).Codes
+	cls := ds.Column(ds.ClassIndex()).Codes
+	var total int64
+	for r := range col {
+		if col[r] >= 0 && cls[r] >= 0 {
+			total++
+		}
+	}
+	res, err := orient(ds, in, opts, total, func(value, class int32) (int64, int64, error) {
 		var cond, sup int64
-		col := ds.Column(attr).Codes
-		cls := ds.Column(ds.ClassIndex()).Codes
 		for r := range col {
 			if col[r] != value {
 				continue
@@ -644,19 +638,17 @@ func Scan(ds *dataset.Dataset, in Input, opts Options) (*Result, error) {
 	}
 
 	// One pass per candidate attribute over the two relevant columns.
-	a1Col := ds.Column(in.Attr).Codes
-	clsCol := ds.Column(ds.ClassIndex()).Codes
 	for _, ai := range attrs {
 		card := ds.Cardinality(ai)
 		tab := newValueTable(card)
 		aiCol := ds.Column(ai).Codes
-		for r := range a1Col {
+		for r := range col {
 			v := aiCol[r]
 			if v < 0 {
 				continue
 			}
-			isClass := clsCol[r] == in.Class
-			switch a1Col[r] {
+			isClass := cls[r] == in.Class
+			switch col[r] {
 			case res.v1:
 				tab.n1[v]++
 				if isClass {

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"opmap/internal/engine"
 	"opmap/internal/faultinject"
 	"opmap/internal/testutil"
 )
@@ -218,5 +219,71 @@ func TestPermutationTestContextPreCanceled(t *testing.T) {
 	_, err := PermutationTestContext(ctx, ds, in, attr, 50, 7, Options{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+// TestFetchDeadline cuts the working-set fetch itself: a stalled
+// shared scan on a cold lazy source outlives the context. One-vs-rest
+// with PartialOnDeadline degrades to a Partial result listing every
+// candidate in Unscored; a strict one-vs-rest and a pairwise compare
+// return ctx.Err() itself.
+func TestFetchDeadline(t *testing.T) {
+	defer testutil.VerifyNoLeak(t)()
+	defer faultinject.Reset()
+	_, gt, ds := buildCaseStudy(t, 4000, 6)
+	in := inputFor(t, ds, gt)
+	disarm, err := faultinject.Arm(faultinject.Fault{
+		Site:  faultinject.SiteCubeBatch,
+		Kind:  faultinject.Delay,
+		Delay: 10 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer disarm()
+	cold := func() *Comparator {
+		src, err := engine.NewLazy(ds, engine.LazyOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(src.Close)
+		return NewSource(src)
+	}
+	ovr := OneVsRestInput{Attr: in.Attr, Value: in.V1, Class: in.Class}
+	run := func(call func(ctx context.Context) error) (context.Context, error) {
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+		defer cancel()
+		return ctx, call(ctx)
+	}
+
+	var res *Result
+	_, err = run(func(ctx context.Context) (err error) {
+		res, err = cold().OneVsRestContext(ctx, ovr, Options{PartialOnDeadline: true})
+		return err
+	})
+	if err != nil {
+		t.Fatalf("partial one-vs-rest: %v", err)
+	}
+	if !res.Partial || len(res.Ranked)+len(res.Property) != 0 {
+		t.Errorf("Partial = %v with %d scored, want a partial result with none scored", res.Partial, len(res.Ranked)+len(res.Property))
+	}
+	if want := ds.NumAttrs() - 2; len(res.Unscored) != want {
+		t.Errorf("Unscored = %d attributes, want %d", len(res.Unscored), want)
+	}
+
+	for name, call := range map[string]func(ctx context.Context) error{
+		"strict one-vs-rest": func(ctx context.Context) error {
+			_, err := cold().OneVsRestContext(ctx, ovr, Options{})
+			return err
+		},
+		"pairwise": func(ctx context.Context) error {
+			_, err := cold().CompareContext(ctx, in, Options{PartialOnDeadline: true})
+			return err
+		},
+	} {
+		ctx, err := run(call)
+		if err == nil || err != ctx.Err() {
+			t.Errorf("%s: err = %v, want ctx.Err() (%v)", name, err, ctx.Err())
+		}
 	}
 }

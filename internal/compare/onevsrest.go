@@ -58,10 +58,13 @@ func (c *Comparator) OneVsRest(in OneVsRestInput, opts Options) (*Result, error)
 }
 
 // OneVsRestContext is OneVsRest under a context, checked once per
-// candidate attribute. With opts.PartialOnDeadline set, a context that
-// expires mid-ranking yields the attributes scored so far with
-// Result.Partial set and the rest annotated in Result.Unscored;
-// otherwise the call fails with the context's error.
+// candidate attribute. Like CompareContext it fetches its whole working
+// set — the split attribute's 1-D cube, and per candidate the pair cube
+// and the candidate's 1-D marginal — in one CubeSource.Cubes call. With
+// opts.PartialOnDeadline set, a context that expires during the fetch
+// or mid-ranking yields the attributes scored so far (none, when the
+// fetch was cut) with Result.Partial set and the rest annotated in
+// Result.Unscored; otherwise the call fails with the context's error.
 func (c *Comparator) OneVsRestContext(ctx context.Context, in OneVsRestInput, opts Options) (*Result, error) {
 	ds := c.ds
 	if in.Attr < 0 || in.Attr >= ds.NumAttrs() || in.Attr == ds.ClassIndex() {
@@ -74,10 +77,18 @@ func (c *Comparator) OneVsRestContext(ctx context.Context, in OneVsRestInput, op
 	if in.Class < 0 || int(in.Class) >= ds.NumClasses() {
 		return nil, fmt.Errorf("compare: class %d out of range", in.Class)
 	}
-	cube, err := c.src.Cube1(ctx, in.Attr)
+	attrs, err := resolveRankAttrs(ds, in.Attr, opts.Attrs)
 	if err != nil {
-		return nil, fmt.Errorf("compare: attribute %d unavailable: %w", in.Attr, err)
+		return nil, err
 	}
+	cubes, err := c.fetch(ctx, in.Attr, workingSet(in.Attr, attrs, true))
+	if err != nil {
+		if !opts.PartialOnDeadline || ctx.Err() == nil {
+			return nil, err
+		}
+		return &Result{Options: opts, Partial: true, Unscored: unscored(ds, attrs, err)}, nil
+	}
+	cube := cubes[0]
 
 	// Counts of the two sides from the 2-D cube.
 	condV, err := cube.CondCount([]int32{in.Value})
@@ -138,33 +149,16 @@ func (c *Comparator) OneVsRestContext(ctx context.Context, in OneVsRestInput, op
 	res.Rule2 = mk(hi)
 
 	comp := &computation{result: res}
-	attrs, err := resolveRankAttrs(ds, in.Attr, opts.Attrs)
-	if err != nil {
-		return nil, err
-	}
 	for i, ai := range attrs {
 		if err := ctxOrFault(ctx, faultinject.SiteCompareAttr); err != nil {
 			if !opts.PartialOnDeadline || ctx.Err() == nil {
 				return nil, err
 			}
 			res.Partial = true
-			for _, rest := range attrs[i:] {
-				res.Unscored = append(res.Unscored, ItemError{
-					Item: ds.Attr(rest).Name,
-					Err:  err.Error(),
-				})
-			}
+			res.Unscored = unscored(ds, attrs[i:], err)
 			break
 		}
-		pair, err := c.src.Cube2(ctx, in.Attr, ai)
-		if err != nil {
-			return nil, fmt.Errorf("compare: pair cube (%d,%d) unavailable: %w", in.Attr, ai, err)
-		}
-		marginal, err := c.src.Cube1(ctx, ai)
-		if err != nil {
-			return nil, fmt.Errorf("compare: attribute %d unavailable: %w", ai, err)
-		}
-		tab, err := oneVsRestTable(pair, marginal, in.Attr, ai, in.Value, in.Class, restIsHigh)
+		tab, err := oneVsRestTable(cubes[1+2*i], cubes[2+2*i], in.Attr, ai, in.Value, in.Class, restIsHigh)
 		if err != nil {
 			return nil, err
 		}
@@ -176,6 +170,15 @@ func (c *Comparator) OneVsRestContext(ctx context.Context, in OneVsRestInput, op
 	}
 	comp.finish()
 	return res, nil
+}
+
+// unscored annotates every attribute in attrs with the same reason.
+func unscored(ds *dataset.Dataset, attrs []int, err error) []ItemError {
+	out := make([]ItemError, len(attrs))
+	for i, a := range attrs {
+		out[i] = ItemError{Item: ds.Attr(a).Name, Err: err.Error()}
+	}
+	return out
 }
 
 // carRule is a minimal count pair used during orientation.

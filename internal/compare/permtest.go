@@ -149,7 +149,7 @@ func collectPool(ds *dataset.Dataset, in Input, attr int, swapped bool) (pool []
 	ai := ds.Column(attr).Codes
 	cls := ds.Column(ds.ClassIndex()).Codes
 	v1, v2 := in.V1, in.V2
-	// Match the observed orientation: prepare() may have swapped.
+	// Match the observed orientation: orient() may have swapped.
 	if swapped {
 		v1, v2 = v2, v1
 	}

@@ -102,10 +102,13 @@ type CubeSource interface {
 	// CubeN reads it (any order; an empty set is an error). A lazy
 	// source answers every cache miss from one shared dataset scan
 	// (rulecube.BuildMany) instead of one scan per cube; an eager
-	// source answers from the store. Callers
-	// that know their full cube needs up front (a sweep, a one-vs-rest
-	// over all values, a drill-down frontier expansion) should declare
-	// them here rather than faulting cubes in one at a time.
+	// source answers from the store. Callers that know their full cube
+	// needs up front declare them here rather than faulting cubes in
+	// one at a time: every pairwise and one-vs-rest comparison fetches
+	// its whole working set in one call (so a one-vs-rest over all
+	// values scans once, on its first value), a sweep declares its set
+	// before screening, and drill-down declares each frontier
+	// expansion.
 	Cubes(ctx context.Context, reqs [][]int) ([]*rulecube.Cube, error)
 }
 

@@ -24,7 +24,8 @@ const (
 	// one observation).
 	CubeBuildHistogramName = "opmap_cube_build_seconds"
 	// CompareAttrHistogramName times each candidate attribute scored
-	// in the compare hot loop.
+	// in the compare hot loop. The comparison fetches its cubes before
+	// that loop, so the timer holds scoring only, never a cube build.
 	CompareAttrHistogramName = "opmap_compare_attr_seconds"
 )
 

@@ -34,10 +34,13 @@ const CubeScansCounterName = "opmap_cube_scans_total"
 // per-shard scratch allocation and merge cost more than they save.
 const batchShardRows = 1 << 16
 
-// pairPlan accumulates one pair cube (a, b) during the shared scan.
-// The scratch array is laid out (dimB+1) × (dimA+1) × numClasses — b
+// pairPlan accumulates one pair cube during the shared scan. In plan
+// coordinates a is the pair's head attribute and b its partner; the
+// scratch array is laid out (dimB+1) × (dimA+1) × numClasses — b
 // outermost, so a row's cell is its b term plus an (a, class) term that
-// every pair with the same first attribute shares (see pairHead). Slot
+// every pair with the same head shares (see pairHead). The head is the
+// request's first attribute unless flip is set: then the request was
+// (b, a), and extraction transposes back to that dimension order. Slot
 // 0 of each condition dimension catches missing values (code -1 lands
 // there via the +1 shift), which keeps the inner loop branch-free and —
 // since a row with a present class is counted *somewhere* in the array
@@ -46,14 +49,19 @@ const batchShardRows = 1 << 16
 // work.
 type pairPlan struct {
 	a, b       int
+	flip       bool // the requested cube is (b, a)
 	colB       []int32
 	dimA, dimB int
 	strideB    int // (dimA+1) * numClasses
 	scratch    []int64
 }
 
-// pairHead groups the pair plans sharing a first attribute: the scan
-// computes their common (a, class) term once per row block.
+// pairHead groups the pair plans sharing a head attribute: the scan
+// computes their common (a, class) term once per row block. planBatch
+// makes the more frequent attribute of each requested pair its head,
+// so pairs that share either attribute — a compare's (split,
+// candidate) pairs, normalized to ascending order by lazy sources —
+// land under one head.
 type pairHead struct {
 	col   []int32
 	pairs []int // indices into batchPlan.pairs
@@ -194,7 +202,7 @@ func countRange(ctx context.Context, ds *dataset.Dataset, reqs [][]int, lo, hi i
 type batchPlan struct {
 	pairs   []pairPlan
 	heads   []pairHead
-	headIdx map[int]int // first attribute -> heads index
+	headIdx map[int]int // head attribute -> heads index
 	ones    []onePlan
 	ks      []kPlan
 	pairIdx map[[2]int]int
@@ -210,7 +218,10 @@ func kKey(attrs []int) string { return fmt.Sprint(attrs) }
 
 // planBatch dedupes the requests into scan plans by arity — pairs and
 // k ≥ 3 requests first, then 1-D requests, routed through a covering
-// pair's scratch whenever one exists.
+// pair's scratch whenever one exists. Each distinct pair's head is the
+// attribute that appears in more of the distinct pair requests (a tie
+// keeps the request's first attribute), so an all-pairs store build,
+// where every attribute ties, keeps request order.
 func planBatch(ds *dataset.Dataset, nc int, reqs [][]int) (*batchPlan, error) {
 	p := &batchPlan{
 		pairIdx: make(map[[2]int]int),
@@ -219,15 +230,26 @@ func planBatch(ds *dataset.Dataset, nc int, reqs [][]int) (*batchPlan, error) {
 		kIdx:    make(map[string]int),
 		derived: make(map[int][2]int),
 	}
+	pairs := make([][2]int, 0, len(reqs))
+	freq := make([]int, ds.NumAttrs())
 	for _, attrs := range reqs {
 		switch {
 		case len(attrs) == 2:
-			p.addPair(ds, nc, attrs[0], attrs[1])
+			k := [2]int{attrs[0], attrs[1]}
+			if _, ok := p.pairIdx[k]; !ok {
+				p.pairIdx[k] = len(pairs)
+				pairs = append(pairs, k)
+				freq[k[0]]++
+				freq[k[1]]++
+			}
 		case len(attrs) >= 3:
 			if err := p.addK(ds, nc, attrs); err != nil {
 				return nil, err
 			}
 		}
+	}
+	for _, k := range pairs {
+		p.addPair(ds, nc, k, freq[k[1]] > freq[k[0]])
 	}
 	for _, attrs := range reqs {
 		if len(attrs) == 1 {
@@ -237,11 +259,12 @@ func planBatch(ds *dataset.Dataset, nc int, reqs [][]int) (*batchPlan, error) {
 	return p, nil
 }
 
-// addPair registers the pair plan for (a, b) unless one exists.
-func (p *batchPlan) addPair(ds *dataset.Dataset, nc, a, b int) {
-	k := [2]int{a, b}
-	if _, ok := p.pairIdx[k]; ok {
-		return
+// addPair appends the plan of the requested pair k, headed by k[1]
+// when flip is set and by k[0] otherwise.
+func (p *batchPlan) addPair(ds *dataset.Dataset, nc int, k [2]int, flip bool) {
+	a, b := k[0], k[1]
+	if flip {
+		a, b = b, a
 	}
 	dimA, dimB := cubeDim(ds, a), cubeDim(ds, b)
 	h, ok := p.headIdx[a]
@@ -251,9 +274,8 @@ func (p *batchPlan) addPair(ds *dataset.Dataset, nc, a, b int) {
 		p.heads = append(p.heads, pairHead{col: ds.Column(a).Codes})
 	}
 	p.heads[h].pairs = append(p.heads[h].pairs, len(p.pairs))
-	p.pairIdx[k] = len(p.pairs)
 	p.pairs = append(p.pairs, pairPlan{
-		a: a, b: b,
+		a: a, b: b, flip: flip,
 		colB: ds.Column(b).Codes,
 		dimA: dimA, dimB: dimB,
 		strideB: (dimA + 1) * nc,
@@ -356,7 +378,8 @@ func extractAll(ds *dataset.Dataset, nc int, reqs [][]int, plan *batchPlan) ([]*
 }
 
 // findPairFor locates a pair plan covering attribute a, returning its
-// index and the dimension position a occupies, or {-1, -1}.
+// index and the dimension position a occupies in plan coordinates (0
+// for the head, 1 for the partner), or {-1, -1}.
 func findPairFor(pairs []pairPlan, a int) [2]int {
 	for pi := range pairs {
 		if pairs[pi].a == a {
@@ -461,9 +484,12 @@ const scanBlockRows = 2048
 // extraction drops (or marginalizes over) that slot. Rows are processed
 // in blocks with the plan loop outside the row loop, so each plan's
 // column/scratch pointers hoist out of the hot loop and the block's
-// columns are revisited while still in cache. Pairs sharing a first
+// columns are revisited while still in cache. Pairs sharing a head
 // attribute compute its (a, class) term once per block and each adds
-// only its b term; a lone pair runs one fused loop. A k ≥ 3 plan
+// only its b term; a head with a lone pair runs one fused loop. Heads
+// are chosen by planBatch (the more frequent attribute of each pair)
+// and work in plan coordinates, so a flipped pair scans exactly like
+// any other; only extraction knows its requested order. A k ≥ 3 plan
 // indexes one column at a time — each dimension adds its stride term
 // across the whole block, then one pass increments — instead of
 // walking every dimension per row. ctx is checked before each block.
@@ -503,9 +529,27 @@ func scanRange(ctx context.Context, classCol []int32, nc int, plan *batchPlan, l
 					ix[r] = (int(v)+1)*nc + int(cl)
 				}
 			}
-			for _, i := range h.pairs {
+			// Pairs under one head share strideB. Two pairs per pass over
+			// the block halve the shared-term loads and missing-class
+			// checks per increment; the [:len(ix)] reslices let the
+			// compiler drop the column bounds checks.
+			strideB := pairs[h.pairs[0]].strideB
+			hp := h.pairs
+			for ; len(hp) >= 2; hp = hp[2:] {
+				p, q := &pairs[hp[0]], &pairs[hp[1]]
+				colP, colQ := p.colB[blo:bhi][:len(ix)], q.colB[blo:bhi][:len(ix)]
+				sp, sq := p.scratch, q.scratch
+				for r, t := range ix {
+					if t < 0 {
+						continue
+					}
+					sp[(int(colP[r])+1)*strideB+t]++
+					sq[(int(colQ[r])+1)*strideB+t]++
+				}
+			}
+			for _, i := range hp {
 				p := &pairs[i]
-				colB, scratch, strideB := p.colB[blo:bhi], p.scratch, p.strideB
+				colB, scratch := p.colB[blo:bhi][:len(ix)], p.scratch
 				for r, t := range ix {
 					if t < 0 {
 						continue
@@ -569,10 +613,22 @@ func newCubeHeader(ds *dataset.Dataset, attrs []int, nc int) *Cube {
 }
 
 // extractPair copies the present-value block of a pair plan's scratch
-// into an exact cube: slot 0 of either dimension (rows where that value
-// was missing) is dropped — a cube skips rows with a missing value in
-// any of its dimensions.
+// into an exact cube in the requested dimension order: slot 0 of
+// either dimension (rows where that value was missing) is dropped — a
+// cube skips rows with a missing value in any of its dimensions. An
+// unflipped plan transposes the b-outer scratch to the cube's a-outer
+// order; a flipped one was requested b-first, so each b value's
+// present block copies straight across.
 func extractPair(ds *dataset.Dataset, nc int, p *pairPlan) *Cube {
+	if p.flip {
+		c := newCubeHeader(ds, []int{p.b, p.a}, nc)
+		blk := p.dimA * nc
+		for vb := 0; vb < p.dimB; vb++ {
+			src := (vb+1)*p.strideB + nc
+			copy(c.counts[vb*blk:(vb+1)*blk], p.scratch[src:src+blk])
+		}
+		return withTotal(c)
+	}
 	c := newCubeHeader(ds, []int{p.a, p.b}, nc)
 	dst := 0
 	for va := 0; va < p.dimA; va++ {
@@ -582,6 +638,11 @@ func extractPair(ds *dataset.Dataset, nc int, p *pairPlan) *Cube {
 			dst += nc
 		}
 	}
+	return withTotal(c)
+}
+
+// withTotal sets a freshly extracted cube's total from its cells.
+func withTotal(c *Cube) *Cube {
 	for _, n := range c.counts {
 		c.total += n
 	}
@@ -592,10 +653,7 @@ func extractPair(ds *dataset.Dataset, nc int, p *pairPlan) *Cube {
 func extractOne(ds *dataset.Dataset, nc int, o *onePlan) *Cube {
 	c := newCubeHeader(ds, []int{o.a}, nc)
 	copy(c.counts, o.scratch[nc:(o.dim+1)*nc])
-	for _, n := range c.counts {
-		c.total += n
-	}
-	return c
+	return withTotal(c)
 }
 
 // extractK copies the present-value block of a k-D plan's scratch into
@@ -628,10 +686,7 @@ func extractK(ds *dataset.Dataset, nc int, p *kPlan) *Cube {
 			break
 		}
 	}
-	for _, n := range c.counts {
-		c.total += n
-	}
-	return c
+	return withTotal(c)
 }
 
 // extractDerivedOne reproduces attribute a's 1-D cube from a pair
@@ -658,8 +713,5 @@ func extractDerivedOne(ds *dataset.Dataset, nc int, a int, p *pairPlan, pos int)
 			}
 		}
 	}
-	for _, n := range c.counts {
-		c.total += n
-	}
-	return c
+	return withTotal(c)
 }

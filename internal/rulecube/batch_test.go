@@ -68,7 +68,9 @@ func randomDatasetMissingClass(t *testing.T, seed int64, rows, attrs, card, clas
 // TestBuildManyOracle checks every request shape against a brute-force
 // recount of the rows: pair cubes in both dimension orders, 1-D cubes
 // derived from a pair plan's scratch, 1-D cubes with a dedicated plan,
-// ordered 3-D and 4-D cubes, and duplicate requests.
+// ordered 3-D and 4-D cubes, and duplicate requests — then the same for
+// pairs whose head the planner flips (pairs sharing their second
+// attribute), on one scan, a row-sharded scan and a FoldRows range.
 func TestBuildManyOracle(t *testing.T) {
 	ctx := context.Background()
 	for trial := int64(0); trial < 4; trial++ {
@@ -88,23 +90,85 @@ func TestBuildManyOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(got) != len(reqs) {
-			t.Fatalf("got %d cubes, want %d", len(got), len(reqs))
-		}
-		for i, attrs := range reqs {
-			if !reflect.DeepEqual(got[i].AttrIndices(), attrs) {
-				t.Fatalf("trial %d req %d: dimensions %v, want %v", trial, i, got[i].AttrIndices(), attrs)
-			}
-			want, total := naiveCells(ds, attrs)
-			if got[i].Total() != total || !reflect.DeepEqual(cubeCells(got[i]), want) {
-				t.Errorf("trial %d req %d (%v): batch cube differs from brute force", trial, i, attrs)
-			}
-		}
+		checkAgainstNaive(t, ds, reqs, got)
 		if got[0] != got[6] {
 			t.Error("duplicate requests should share one cube")
 		}
 		if _, err := BuildMany(ctx, ds, [][]int{{0, 1}, {}}); err == nil {
 			t.Error("an empty attribute list must be rejected")
+		}
+
+		// Attribute 4 is the second attribute of three pairs, so it
+		// heads them all; (4,1) also asks for the transpose of the
+		// flipped (1,4), and 2 (in two pairs) heads (3,2). Attribute
+		// 0's 1-D cube derives from a flipped pair's partner position,
+		// attribute 4's from its head.
+		flipped := [][]int{{0, 4}, {1, 4}, {2, 4}, {4, 1}, {0}, {4}, {3, 2}}
+		checkFlips(t, ds, flipped, map[[2]int]bool{{0, 4}: true, {1, 4}: true, {2, 4}: true, {3, 2}: true})
+		got, err = BuildMany(ctx, ds, flipped)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkAgainstNaive(t, ds, flipped, got)
+		if got[1] == got[3] {
+			t.Error("(1,4) and (4,1) are distinct cubes")
+		}
+
+		// Folding a flipped request's rows in two ranges gives the
+		// whole-dataset count.
+		mid := ds.NumRows() / 3
+		cubes, _, err := countRange(ctx, ds, flipped, 0, mid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := FoldRows(ctx, ds, cubes, mid, ds.NumRows()); err != nil {
+			t.Fatal(err)
+		}
+		checkAgainstNaive(t, ds, flipped, cubes)
+	}
+
+	t.Run("sharded", func(t *testing.T) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+		ds := randomDatasetMissingClass(t, 9, 2*batchShardRows+4099, 4, 5, 3, 0.05)
+		reqs := [][]int{{0, 3}, {1, 3}, {2, 3}, {0}, {3, 1}}
+		checkFlips(t, ds, reqs, map[[2]int]bool{{0, 3}: true, {1, 3}: true, {2, 3}: true})
+		got, err := BuildMany(ctx, ds, reqs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkAgainstNaive(t, ds, reqs, got)
+	})
+}
+
+// checkAgainstNaive compares each cube with the brute-force recount of
+// its request, dimension order included.
+func checkAgainstNaive(t *testing.T, ds *dataset.Dataset, reqs [][]int, got []*Cube) {
+	t.Helper()
+	if len(got) != len(reqs) {
+		t.Fatalf("got %d cubes, want %d", len(got), len(reqs))
+	}
+	for i, attrs := range reqs {
+		if !reflect.DeepEqual(got[i].AttrIndices(), attrs) {
+			t.Fatalf("req %d: dimensions %v, want %v", i, got[i].AttrIndices(), attrs)
+		}
+		want, total := naiveCells(ds, attrs)
+		if got[i].Total() != total || !reflect.DeepEqual(cubeCells(got[i]), want) {
+			t.Errorf("req %d (%v): batch cube differs from brute force", i, attrs)
+		}
+	}
+}
+
+// checkFlips asserts which of the request's pairs the planner heads by
+// their second attribute, so the oracle really covers flipped plans.
+func checkFlips(t *testing.T, ds *dataset.Dataset, reqs [][]int, want map[[2]int]bool) {
+	t.Helper()
+	plan, err := planBatch(ds, ds.NumClasses(), reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, i := range plan.pairIdx {
+		if plan.pairs[i].flip != want[k] {
+			t.Errorf("pair %v: flip = %v, want %v", k, plan.pairs[i].flip, want[k])
 		}
 	}
 }
