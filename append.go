@@ -8,16 +8,26 @@ import (
 
 	"opmap/internal/dataset"
 	"opmap/internal/discretize"
+	"opmap/internal/obsv"
+	"opmap/internal/wal"
 )
 
-// This file is the streaming-ingestion entry point of the session: an
-// appended batch folds into the raw dataset, the discretized working
+// This file is the streaming-ingestion entry point of the session:
+// appended batches fold into the raw dataset, the discretized working
 // copy, and every resident cube incrementally — no rebuild — and then
-// surgically invalidates only the cached query results that depended
-// on an attribute the batch touched. Durability lives a layer up: the
-// opmapd daemon writes each batch to the WAL before calling Append, so
+// surgically invalidate only the cached query results that depended
+// on an attribute a batch touched. Durability lives a layer up: the
+// opmapd daemon writes each batch to the WAL before applying it, so
 // the session only has to keep its in-memory state exactly consistent
-// with what a replay of that WAL would reproduce.
+// with what a replay of that WAL would reproduce. Every append form
+// runs one apply path (applyLocked): a run of batches is appended row
+// by row and then folded into the engine in one counting-kernel pass.
+
+// IngestFoldsCounterName counts the kernel passes that folded appended
+// rows into a session's resident engine: one per applied run of
+// batches (AppendSeqs) or single batch, plus one per cut
+// re-evaluation that falls inside a run.
+const IngestFoldsCounterName = "opmap_ingest_folds_total"
 
 // Append adds rows (textual values, one per attribute in schema order,
 // "?" for missing) to the session. See AppendContext.
@@ -44,83 +54,171 @@ func (s *Session) Append(rows [][]string) error {
 func (s *Session) AppendContext(ctx context.Context, rows [][]string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.appendLocked(ctx, rows)
+	return s.applyLocked(ctx, []SeqBatch{{Rows: rows}}).Errs[0]
 }
 
-// AppendSeq applies one durable WAL batch: AppendContext plus
-// recording seq as the session's ingest sequence, in one critical
-// section. A concurrent snapshot (which runs under the read lock)
-// therefore can never capture the batch's rows without the sequence
-// that makes recovery skip them — split Append/SetIngestSeq calls
-// would leave a window where a checkpoint taken between the two
-// double-applies the batch after a crash. The sequence advances even
-// when the session rejects the batch: Append validates before
-// mutating and the rejection is deterministic, so replay reproduces
-// the same decision and must not re-attempt it. Callers must not
-// cancel ctx mid-batch (the WAL apply path passes an uncancellable
-// context); a partially applied batch would still be marked consumed.
+// SeqBatch is one durable WAL batch: its log sequence and its rows —
+// the unit wal.Log.ReplayGroups delivers.
+type SeqBatch = wal.Batch
+
+// AppendResult reports a grouped apply (AppendSeqs).
+type AppendResult struct {
+	// Errs holds one entry per batch, in order: nil when the batch
+	// applied, otherwise why the session rejected it.
+	Errs []error
+	// Folds counts the kernel passes that folded appended rows into
+	// the resident engine (see IngestFoldsCounterName).
+	Folds int
+}
+
+// AppendSeq applies one durable WAL batch: AppendSeqs with a run of
+// one, returning that batch's error.
 func (s *Session) AppendSeq(ctx context.Context, rows [][]string, seq uint64) error {
+	return s.AppendSeqs(ctx, []SeqBatch{{Seq: seq, Rows: rows}}).Errs[0]
+}
+
+// AppendSeqs applies a run of durable WAL batches, in order, in one
+// critical section, and records the last batch's sequence as the
+// session's ingest sequence. Each batch is validated on its own: a
+// rejected batch is skipped and reported in Errs, and the rest apply.
+// Every accepted row appends, then one kernel fold covers the whole
+// appended range — so a run costs one fold, not one per batch — except
+// that a due cut re-evaluation (SetCutReevaluation) ends the fold
+// group first, so cuts re-evaluate at exactly the row counts a
+// one-batch-at-a-time apply reaches. The result equals applying the
+// batches one AppendSeq at a time.
+//
+// Recording the sequence inside the apply's critical section means a
+// concurrent snapshot (which runs under the read lock) can never
+// capture a batch's rows without the sequence that makes recovery
+// skip them — split Append/SetIngestSeq calls would leave a window
+// where a checkpoint taken between the two double-applies the batch
+// after a crash. The sequence advances past rejected batches too:
+// validation runs before any mutation and the rejection is
+// deterministic, so replay reproduces the same decision and must not
+// re-attempt it. Callers must not cancel ctx mid-run (the WAL apply
+// path passes an uncancellable context); a partially applied batch
+// would still be marked consumed.
+func (s *Session) AppendSeqs(ctx context.Context, batches []SeqBatch) AppendResult {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	err := s.appendLocked(ctx, rows)
-	s.ingestSeq = seq
-	return err
+	res := s.applyLocked(ctx, batches)
+	if n := len(batches); n > 0 {
+		s.ingestSeq = batches[n-1].Seq
+	}
+	return res
 }
 
-// appendLocked is the body shared by the Append variants. Callers hold
-// the write lock.
-func (s *Session) appendLocked(ctx context.Context, rows [][]string) error {
-	if len(rows) == 0 {
-		return nil
+// applyLocked is the one apply path behind every append form. Each
+// batch validates on its own and its rows append to the datasets;
+// the rows appended since the group began fold into the resident
+// engine at the end of the run, or earlier at a due cut
+// re-evaluation. Callers hold the write lock.
+func (s *Session) applyLocked(ctx context.Context, batches []SeqBatch) AppendResult {
+	res := AppendResult{Errs: make([]error, len(batches))}
+	g := s.newFoldGroup()
+	for i, b := range batches {
+		if len(b.Rows) == 0 {
+			continue
+		}
+		// Validate pass: width and continuous parses for the whole batch.
+		floats, err := s.validateBatch(b.Rows)
+		if err != nil {
+			res.Errs[i] = err
+			continue
+		}
+		g.members = append(g.members, i)
+		if err := s.appendRows(ctx, b.Rows, floats, g.touched); err != nil {
+			// Already-applied rows of the batch stay applied and fold
+			// with the group; the caller decides whether to re-send the
+			// rest.
+			res.Errs[i] = err
+			continue
+		}
+		if s.cutReevalEvery <= 0 || s.sinceCutEval < s.cutReevalEvery {
+			continue
+		}
+		if s.endFoldGroup(ctx, g, &res) {
+			res.Errs[i] = s.maybeReevalCuts(ctx)
+		}
+		g = s.newFoldGroup()
 	}
-	// Validate pass: width and continuous parses for the whole batch.
-	floats, err := s.validateBatch(rows)
-	if err != nil {
-		return err
-	}
+	s.endFoldGroup(ctx, g, &res)
+	return res
+}
 
+// foldGroup is the state of one fold group: the working dataset's row
+// count when it began, the attributes its rows touched, and the
+// batches whose rows it holds.
+type foldGroup struct {
+	n0      int
+	touched map[int]bool
+	members []int
+}
+
+func (s *Session) newFoldGroup() *foldGroup {
+	g := &foldGroup{touched: make(map[int]bool)}
+	if s.ds != nil {
+		g.n0 = s.ds.NumRows()
+	}
+	return g
+}
+
+// endFoldGroup ends a fold group: the rows appended since it began
+// fold into the resident engine in one kernel pass (the dictionaries
+// are fully grown by then, so each cube grows at most once per group)
+// and the touched attributes' cached results are invalidated. A fold
+// error drops the engine rather than serve skewed counts and is
+// reported against every batch of the group, whose result it returns
+// false for.
+func (s *Session) endFoldGroup(ctx context.Context, g *foldGroup, res *AppendResult) bool {
+	folded, err := s.foldAppended(ctx, g.n0)
+	if folded {
+		res.Folds++
+	}
+	s.flushTouched(g.touched)
+	if err == nil {
+		return true
+	}
+	s.dropEngine()
+	res.reject(g.members, err)
+	return false
+}
+
+// reject records err against each listed batch that has no error yet.
+func (r *AppendResult) reject(batches []int, err error) {
+	for _, i := range batches {
+		if r.Errs[i] == nil {
+			r.Errs[i] = err
+		}
+	}
+}
+
+// appendRows appends one validated batch row by row to the raw and
+// working datasets, noting the attributes the rows touched and the
+// discretization deltas. A cancel between rows stops the batch; rows
+// already appended stay appended and consistent.
+func (s *Session) appendRows(ctx context.Context, rows [][]string, floats [][]float64, touched map[int]bool) error {
 	classIdx := s.raw.ClassIndex()
 	restored := s.restoredDiscretized()
-	touched := make(map[int]bool)
-	n0 := 0
-	if s.ds != nil {
-		n0 = s.ds.NumRows()
-	}
-	// finish ends the batch, early or not: the appended rows
-	// [n0, NumRows()) fold into the resident engine in one kernel scan
-	// (the dictionaries are fully grown by then, so each cube grows at
-	// most once per batch), the touched attributes' cached results are
-	// invalidated, and err is returned. A fold error drops the engine
-	// rather than serve skewed counts.
-	finish := func(err error) error {
-		if ferr := s.foldAppended(ctx, n0); ferr != nil {
-			s.dropEngine()
-			if err == nil {
-				err = ferr
-			}
-		}
-		s.flushTouched(touched)
-		return err
-	}
 	for r, row := range rows {
 		if err := ctx.Err(); err != nil {
-			// Already-applied rows of the batch stay applied and
-			// consistent; the caller decides whether to re-send the rest.
-			return finish(err)
+			return err
 		}
 		if !restored {
 			// Restored sessions share one dataset between raw and working
 			// roles; appendWorkingRow grows it with the coded row instead
-			// (AppendRow here would register raw numeric strings as
-			// categorical labels in the interval dictionaries).
-			if err := s.raw.AppendRow(row); err != nil {
+			// (appending the textual row here would register raw numeric
+			// strings as categorical labels in the interval dictionaries).
+			// validateBatch already parsed every continuous field.
+			if err := s.raw.AppendParsedRow(row, floats[r]); err != nil {
 				// Unreachable after validateBatch; fail loudly if it isn't.
-				return finish(err)
+				return err
 			}
 		}
 		codes, err := s.appendWorkingRow(row, floats[r])
 		if err != nil {
-			return finish(err)
+			return err
 		}
 		for i, c := range codes {
 			if i != classIdx && c >= 0 {
@@ -130,10 +228,7 @@ func (s *Session) appendLocked(ctx context.Context, rows [][]string) error {
 		s.noteDeltas(floats[r])
 		s.sinceCutEval++
 	}
-	if err := finish(nil); err != nil {
-		return err
-	}
-	return s.maybeReevalCuts(ctx)
+	return nil
 }
 
 // ValidateBatch checks a batch against the session's schema — row
@@ -253,18 +348,20 @@ func (s *Session) appendWorkingRow(row []string, fr []float64) ([]int32, error) 
 }
 
 // foldAppended folds the working dataset's rows from n0 on into the
-// resident engine's cubes with the counting kernel. The fold ignores
-// ctx's cancellation: the rows are already appended, so a half-folded
+// resident engine's cubes with the counting kernel, reporting whether
+// it ran a fold (and counting it). The fold ignores ctx's
+// cancellation: the rows are already appended, so a half-folded
 // engine would serve skewed counts. No engine means nothing to
 // maintain: cubes built later count the grown dataset anyway.
-func (s *Session) foldAppended(ctx context.Context, n0 int) error {
+func (s *Session) foldAppended(ctx context.Context, n0 int) (bool, error) {
 	f, ok := s.src.(interface {
 		FoldRows(ctx context.Context, lo, hi int) error
 	})
-	if !ok || s.ds == nil {
-		return nil
+	if !ok || s.ds == nil || n0 >= s.ds.NumRows() {
+		return false, nil
 	}
-	return f.FoldRows(context.WithoutCancel(ctx), n0, s.ds.NumRows())
+	obsv.Default().Counter(IngestFoldsCounterName).Inc()
+	return true, f.FoldRows(context.WithoutCancel(ctx), n0, s.ds.NumRows())
 }
 
 // noteDeltas advances the per-attribute discretization delta counters

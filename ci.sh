@@ -369,6 +369,9 @@ fi
 cmp "$smokedir/overview.ingest" "$smokedir/overview.replayed"
 cmp "$smokedir/compare.ingest" "$smokedir/compare.replayed"
 "$smokedir/opmapd" -probe "$addr6/metrics" | grep -qF 'opmap_wal_replayed_records_total 2'
+# Replay applies the two records as one grouped run: one kernel fold.
+"$smokedir/opmapd" -probe "$addr6/metrics" | grep -qF 'opmap_ingest_folds_total 1'
+grep -qF 'replayed 2 record(s) in 1 fold(s)' "$smokedir/opmapd6.log"
 kill -TERM "$opmapd6_pid"
 if ! wait "$opmapd6_pid"; then
     echo "ingest opmapd did not drain cleanly on SIGTERM:" >&2

@@ -13,6 +13,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -978,8 +979,9 @@ func benchSnapshot(ctx context.Context, records int, seed int64) (snapshotBench,
 
 // benchIngest streams batches through the durable append path a
 // daemon ingest takes — WAL append with per-record fsync, then
-// Session.Append — and then replays the written log into a fresh
-// session, timing both directions.
+// Session.AppendSeq — and then replays the written log into a fresh
+// session in grouped runs (ReplayGroups + AppendSeqs, the daemon's
+// restart path), timing both directions.
 func benchIngest(records int) (ingestBench, error) {
 	const batchRows = 50
 	ib := ingestBench{BatchRows: batchRows}
@@ -1050,12 +1052,8 @@ func benchIngest(records int) (ingestBench, error) {
 	}
 	defer lg.Close()
 	start = time.Now()
-	n, err := lg.Replay(1, func(seq uint64, payload []byte) error {
-		rows, derr := wal.DecodeRows(payload)
-		if derr != nil {
-			return derr
-		}
-		return fresh.AppendSeq(context.Background(), rows, seq)
+	n, err := lg.ReplayGroups(1, func(run []opmap.SeqBatch) error {
+		return errors.Join(fresh.AppendSeqs(context.Background(), run).Errs...)
 	})
 	if err != nil {
 		return ib, err

@@ -9,6 +9,9 @@ package main
 // ingest sequence. At startup each dataset replays its WAL from the
 // snapshot's recorded sequence + 1 in the background, gating /readyz,
 // so an opmapd killed mid-ingest recovers every acknowledged row.
+// Replay and the live worker apply through the same grouped call
+// (Session.AppendSeqs): a run of batches of up to wal.GroupRows rows
+// costs one fold of the counting kernel, not one per batch.
 
 import (
 	"context"
@@ -154,18 +157,13 @@ func (m *ingestman) append(_ context.Context, name string, rows [][]string) (uin
 }
 
 // replayAndServe replays the WAL tail beyond the warm-started
-// session's ingest sequence, then flips the pipe live and runs the
-// apply worker until the jobs channel closes at shutdown.
+// session's ingest sequence in grouped runs, then flips the pipe live
+// and runs the apply worker until the jobs channel closes at shutdown.
 func (p *ingestPipe) replayAndServe() {
 	from := p.sess.IngestSeq() + 1
-	n, err := p.log.Replay(from, func(seq uint64, payload []byte) error {
-		rows, derr := wal.DecodeRows(payload)
-		if derr != nil {
-			// The CRC matched, so this is not corruption but a writer bug;
-			// surface it rather than silently dropping acknowledged rows.
-			return fmt.Errorf("seq %d: %w", seq, derr)
-		}
-		p.applyBatch(seq, rows)
+	folds := 0
+	n, err := p.log.ReplayGroups(from, func(run []opmap.SeqBatch) error {
+		folds += p.apply(run)
 		return nil
 	})
 	if err != nil {
@@ -176,29 +174,58 @@ func (p *ingestPipe) replayAndServe() {
 		return
 	}
 	if n > 0 {
-		log.Printf("dataset %q: replayed %d WAL record(s), ingest seq %d", p.name, n, p.sess.IngestSeq())
+		log.Printf("dataset %q: replayed %d record(s) in %d fold(s), ingest seq %d", p.name, n, folds, p.sess.IngestSeq())
 	}
 	// A snapshot can be ahead of a truncated WAL; never hand out a
 	// sequence the session has already seen.
 	p.log.Align(p.sess.IngestSeq() + 1)
 	p.replaying.Store(false)
 	for job := range p.jobs {
-		p.applyBatch(job.seq, job.rows)
-		<-p.slots
+		batches := p.takeQueued(job)
+		p.apply(batches)
+		for range batches {
+			<-p.slots
+		}
 	}
 }
 
-// applyBatch folds one durable batch into the session, advancing the
-// ingest sequence in the same critical section (AppendSeq) so a
-// concurrent checkpoint can never snapshot the batch's rows without
-// the sequence that makes recovery skip them. An apply error is
-// logged and the batch skipped — Append validates before mutating, so
-// a bad batch leaves the session consistent, and replay after a crash
-// reproduces exactly the same decision.
-func (p *ingestPipe) applyBatch(seq uint64, rows [][]string) {
-	if err := p.sess.AppendSeq(context.Background(), rows, seq); err != nil {
-		log.Printf("dataset %q: WAL batch seq %d rejected by session: %v", p.name, seq, err)
+// takeQueued groups job with the jobs already queued behind it, in
+// queue (= WAL) order, taking more without blocking until the group
+// holds wal.GroupRows rows or the queue is empty.
+func (p *ingestPipe) takeQueued(job ingestJob) []opmap.SeqBatch {
+	batches := []opmap.SeqBatch{{Seq: job.seq, Rows: job.rows}}
+	rows := len(job.rows)
+	for rows < wal.GroupRows {
+		select {
+		case next, ok := <-p.jobs:
+			if !ok {
+				return batches
+			}
+			batches = append(batches, opmap.SeqBatch{Seq: next.seq, Rows: next.rows})
+			rows += len(next.rows)
+		default:
+			return batches
+		}
 	}
+	return batches
+}
+
+// apply folds a run of durable batches into the session in one
+// grouped call (AppendSeqs), which advances the ingest sequence in the
+// same critical section so a concurrent checkpoint can never snapshot
+// the batches' rows without the sequence that makes recovery skip
+// them. A rejected batch is logged and skipped — Append validates
+// before mutating, so a bad batch leaves the session consistent, and
+// replay after a crash reproduces exactly the same decision. It
+// returns the number of kernel folds the run took.
+func (p *ingestPipe) apply(batches []opmap.SeqBatch) int {
+	res := p.sess.AppendSeqs(context.Background(), batches)
+	for i, err := range res.Errs {
+		if err != nil {
+			log.Printf("dataset %q: WAL batch seq %d rejected by session: %v", p.name, batches[i].Seq, err)
+		}
+	}
+	return res.Folds
 }
 
 // truncated is called by the checkpointer after a dataset's snapshot

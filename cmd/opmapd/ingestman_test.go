@@ -4,11 +4,13 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"opmap"
+	"opmap/internal/wal"
 )
 
 const ingestTestCSV = `Region,Model,Temp,Outcome
@@ -233,4 +235,46 @@ func TestCheckpointSweepsWALOrphans(t *testing.T) {
 	if info.IngestSeq != seq {
 		t.Errorf("snapshot ingest seq = %d, want %d", info.IngestSeq, seq)
 	}
+}
+
+// TestTakeQueuedGroupsInWALOrder: the worker groups the job it took
+// with the jobs already queued behind it, in queue order, without
+// blocking on an empty queue and stopping once the group reaches
+// wal.GroupRows rows; the rest stay queued for the next group.
+func TestTakeQueuedGroupsInWALOrder(t *testing.T) {
+	p := &ingestPipe{jobs: make(chan ingestJob, ingestQueueDepth)}
+	row := []string{"north", "m1", "42", "fail"}
+	job := func(seq uint64, n int) ingestJob {
+		rows := make([][]string, n)
+		for i := range rows {
+			rows[i] = row
+		}
+		return ingestJob{seq: seq, rows: rows}
+	}
+	p.jobs <- job(2, 10)
+	p.jobs <- job(3, 20)
+	got := p.takeQueued(job(1, 5))
+	if len(got) != 3 || got[0].Seq != 1 || got[1].Seq != 2 || got[2].Seq != 3 {
+		t.Fatalf("group = %v, want seqs 1, 2, 3", seqsOf(got))
+	}
+
+	half := wal.GroupRows / 2
+	p.jobs <- job(5, half)
+	p.jobs <- job(6, half)
+	p.jobs <- job(7, 1)
+	got = p.takeQueued(job(4, 1))
+	if want := []uint64{4, 5, 6}; !slices.Equal(seqsOf(got), want) {
+		t.Errorf("group = %v, want %v: it should stop once it holds wal.GroupRows rows", seqsOf(got), want)
+	}
+	if next := <-p.jobs; next.seq != 7 {
+		t.Errorf("next queued job = seq %d, want 7", next.seq)
+	}
+}
+
+func seqsOf(batches []opmap.SeqBatch) []uint64 {
+	seqs := make([]uint64, len(batches))
+	for i, b := range batches {
+		seqs[i] = b.Seq
+	}
+	return seqs
 }

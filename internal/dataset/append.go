@@ -34,7 +34,37 @@ func (ds *Dataset) AppendRow(values []string) error {
 			return fmt.Errorf("dataset: attribute %q: cannot parse %q as number: %v", ds.schema.Attrs[i].Name, v, err)
 		}
 	}
-	// Mutate pass: nothing below can fail.
+	ds.appendParsed(values, floats)
+	return nil
+}
+
+// AppendParsedRow is AppendRow for a caller that already parsed the
+// row's continuous fields the way AppendRow does: floats[i] is the
+// value of continuous attribute i (NaN when missing), and floats may
+// be nil when the schema has no continuous attribute. Categorical
+// fields come from values as in AppendRow. Nothing is re-parsed, so a
+// session that validated a batch appends it without parsing twice.
+func (ds *Dataset) AppendParsedRow(values []string, floats []float64) error {
+	if len(values) != len(ds.cols) {
+		return fmt.Errorf("dataset: row has %d values, schema has %d attributes", len(values), len(ds.cols))
+	}
+	if floats != nil && len(floats) != len(ds.cols) {
+		return fmt.Errorf("dataset: %d parsed values for %d attributes", len(floats), len(ds.cols))
+	}
+	if floats == nil {
+		for i := range ds.cols {
+			if ds.cols[i].Kind == Continuous {
+				return fmt.Errorf("dataset: attribute %q is continuous but no parsed values were given", ds.schema.Attrs[i].Name)
+			}
+		}
+	}
+	ds.appendParsed(values, floats)
+	return nil
+}
+
+// appendParsed appends a validated row: categorical codes from values,
+// continuous values from floats. Nothing here can fail.
+func (ds *Dataset) appendParsed(values []string, floats []float64) {
 	for i := range ds.cols {
 		c := &ds.cols[i]
 		if c.Kind == Categorical {
@@ -48,7 +78,6 @@ func (ds *Dataset) AppendRow(values []string) error {
 		c.Values = append(c.Values, floats[i])
 	}
 	ds.rows++
-	return nil
 }
 
 // AppendCodedRow appends a row of pre-encoded values: codes[i] is used

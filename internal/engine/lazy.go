@@ -632,9 +632,9 @@ func (s *LazySource) SeedCubes(cubes []*rulecube.Cube) (int, error) {
 }
 
 // FoldRows adds rows [lo, hi) of the dataset — appended after the
-// resident cubes were counted — into every resident cube, pinned 1-D
-// and cached k ≥ 2 alike, with one shared scan (rulecube.FoldRows),
-// then re-accounts LRU bytes (a cube grown by new labels is bigger; the
+// resident cubes were counted — into every resident cube in place,
+// pinned 1-D and cached k ≥ 2 alike, with one shared scan planned over
+// the current resident set (rulecube.FoldRows), then re-accounts LRU bytes (a cube grown by new labels is bigger; the
 // budget may evict). Non-resident cubes need nothing: they materialize
 // later from the already-grown dataset. Callers must ensure no query
 // is concurrently reading cube counts (the Session ingest lock

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -16,9 +17,11 @@ import (
 // The counting kernel (DESIGN.md §14). Every path that turns rows into
 // cube cells — Build, the store build, lazy on-demand and bulk builds,
 // and streaming ingest — goes through the shared scan below: one
-// scratch accumulator per distinct cube, a branch-free inner loop, and
-// an extraction step that also derives 1-D marginals from pair scratch
-// for free. COMPARE (arXiv:2107.11967) observes that groupwise
+// scratch accumulator per distinct cube (all windows of one array), a
+// branch-free inner loop, and an extraction step that adds the counted
+// cells into a destination cube — a fresh one for a build, the
+// resident one for a fold — and derives 1-D marginals from pair
+// scratch for free. COMPARE (arXiv:2107.11967) observes that groupwise
 // comparisons share one scan and one aggregation pass this way instead
 // of carrying per-pair state through separate scans.
 
@@ -63,6 +66,7 @@ type pairPlan struct {
 // candidate) pairs, normalized to ascending order by lazy sources —
 // land under one head.
 type pairHead struct {
+	a     int
 	col   []int32
 	pairs []int // indices into batchPlan.pairs
 }
@@ -86,6 +90,24 @@ type kPlan struct {
 	dims    []int
 	strides []int // strides[i] = numClasses × Π_{j>i}(dims[j]+1)
 	scratch []int64
+}
+
+// routeKind names the accumulator a request's cube is extracted from.
+type routeKind uint8
+
+const (
+	routePair    routeKind = iota // pairs[i], in the requested order
+	routeDerived                  // marginal of pairs[i] at dimension pos
+	routeOne                      // ones[i]
+	routeK                        // ks[i]
+)
+
+// route sends one request's cube to its accumulator. slot numbers the
+// plan's distinct cubes: duplicate requests share a slot.
+type route struct {
+	kind   routeKind
+	i, pos int
+	slot   int
 }
 
 // maxBatchScratchCells bounds one k-D plan's scratch allocation: a
@@ -178,37 +200,36 @@ func validateReqs(ds *dataset.Dataset, reqs [][]int) error {
 	return nil
 }
 
-// countRange is the kernel behind BuildMany and FoldRows: it counts
-// rows [lo, hi) of ds into one cube per distinct (validated) request
-// and reports how many distinct cubes it produced. It advances no
-// metric; callers decide what the pass means.
+// countRange is the kernel behind BuildMany: it counts rows [lo, hi)
+// of ds into one fresh cube per distinct (validated) request and
+// reports how many distinct cubes it produced. It advances no metric;
+// callers decide what the pass means.
 func countRange(ctx context.Context, ds *dataset.Dataset, reqs [][]int, lo, hi int) ([]*Cube, int, error) {
-	nc := ds.NumClasses()
-	plan, err := planBatch(ds, nc, reqs)
+	plan, err := planBatch(ds, ds.NumClasses(), reqs)
 	if err != nil {
 		return nil, 0, err
 	}
-	if err := scanAll(ctx, ds.Column(ds.ClassIndex()).Codes, nc, plan, lo, hi); err != nil {
+	if err := scanAll(ctx, ds.Column(ds.ClassIndex()).Codes, plan, lo, hi); err != nil {
 		return nil, 0, err
 	}
-	out, built := extractAll(ds, nc, reqs, plan)
-	return out, built, nil
+	return extractAll(ds, reqs, plan), plan.slots, nil
 }
 
 // batchPlan is the deduplicated working set of one shared scan: one
 // pairPlan per distinct pair, one onePlan per 1-D request no pair
-// covers, one kPlan per distinct k ≥ 3 request, and the index maps
-// extraction uses to route each request to its accumulator.
+// covers, one kPlan per distinct k ≥ 3 request, and a route per
+// request from its cube to its accumulator. Every accumulator's
+// scratch is a window of one backing array, buf.
 type batchPlan struct {
-	pairs   []pairPlan
-	heads   []pairHead
-	headIdx map[int]int // head attribute -> heads index
-	ones    []onePlan
-	ks      []kPlan
-	pairIdx map[[2]int]int
-	oneIdx  map[int]int
-	kIdx    map[string]int // ordered attr-list key -> kPlan index
-	derived map[int][2]int // attr -> {pair plan index, dimension position}
+	nc     int
+	pairs  []pairPlan
+	heads  []pairHead
+	ones   []onePlan
+	ks     []kPlan
+	routes []route // one per request, in request order
+	slots  int     // distinct cubes
+	buf    []int64
+	idx    []int // scanRange's per-row partial cell indexes of one block
 }
 
 // kKey is the dedup key of a k-D request: its exact ordered dimension
@@ -221,41 +242,62 @@ func kKey(attrs []int) string { return fmt.Sprint(attrs) }
 // pair's scratch whenever one exists. Each distinct pair's head is the
 // attribute that appears in more of the distinct pair requests (a tie
 // keeps the request's first attribute), so an all-pairs store build,
-// where every attribute ties, keeps request order.
+// where every attribute ties, keeps request order. The plan comes back
+// bound to ds's columns with zeroed scratch.
 func planBatch(ds *dataset.Dataset, nc int, reqs [][]int) (*batchPlan, error) {
-	p := &batchPlan{
-		pairIdx: make(map[[2]int]int),
-		headIdx: make(map[int]int),
-		oneIdx:  make(map[int]int),
-		kIdx:    make(map[string]int),
-		derived: make(map[int][2]int),
-	}
+	p := &batchPlan{nc: nc, routes: make([]route, len(reqs))}
+	pairIdx := make(map[[2]int]int)
+	kIdx := make(map[string]int)
 	pairs := make([][2]int, 0, len(reqs))
 	freq := make([]int, ds.NumAttrs())
-	for _, attrs := range reqs {
+	for i, attrs := range reqs {
 		switch {
 		case len(attrs) == 2:
 			k := [2]int{attrs[0], attrs[1]}
-			if _, ok := p.pairIdx[k]; !ok {
-				p.pairIdx[k] = len(pairs)
+			pi, ok := pairIdx[k]
+			if !ok {
+				pi = len(pairs)
+				pairIdx[k] = pi
 				pairs = append(pairs, k)
 				freq[k[0]]++
 				freq[k[1]]++
 			}
+			p.routes[i] = route{kind: routePair, i: pi, slot: pi}
 		case len(attrs) >= 3:
-			if err := p.addK(ds, nc, attrs); err != nil {
-				return nil, err
+			key := kKey(attrs)
+			ki, ok := kIdx[key]
+			if !ok {
+				if err := p.addK(ds, nc, attrs); err != nil {
+					return nil, err
+				}
+				ki = len(p.ks) - 1
+				kIdx[key] = ki
 			}
+			p.routes[i] = route{kind: routeK, i: ki}
 		}
 	}
 	for _, k := range pairs {
 		p.addPair(ds, nc, k, freq[k[1]] > freq[k[0]])
 	}
-	for _, attrs := range reqs {
-		if len(attrs) == 1 {
-			p.addOne(ds, nc, attrs[0])
+	p.slots = len(p.pairs) + len(p.ks)
+	oneRoutes := make(map[int]route)
+	for i, attrs := range reqs {
+		switch {
+		case len(attrs) >= 3:
+			p.routes[i].slot = len(p.pairs) + p.routes[i].i
+		case len(attrs) == 1:
+			r, ok := oneRoutes[attrs[0]]
+			if !ok {
+				r = p.addOne(ds, attrs[0])
+				r.slot = p.slots
+				p.slots++
+				oneRoutes[attrs[0]] = r
+			}
+			p.routes[i] = r
 		}
 	}
+	p.alloc()
+	p.bind(ds)
 	return p, nil
 }
 
@@ -267,35 +309,28 @@ func (p *batchPlan) addPair(ds *dataset.Dataset, nc int, k [2]int, flip bool) {
 		a, b = b, a
 	}
 	dimA, dimB := cubeDim(ds, a), cubeDim(ds, b)
-	h, ok := p.headIdx[a]
-	if !ok {
-		h = len(p.heads)
-		p.headIdx[a] = h
-		p.heads = append(p.heads, pairHead{col: ds.Column(a).Codes})
+	h := 0
+	for h < len(p.heads) && p.heads[h].a != a {
+		h++
+	}
+	if h == len(p.heads) {
+		p.heads = append(p.heads, pairHead{a: a})
 	}
 	p.heads[h].pairs = append(p.heads[h].pairs, len(p.pairs))
 	p.pairs = append(p.pairs, pairPlan{
 		a: a, b: b, flip: flip,
-		colB: ds.Column(b).Codes,
 		dimA: dimA, dimB: dimB,
 		strideB: (dimA + 1) * nc,
-		scratch: make([]int64, (dimA+1)*(dimB+1)*nc),
 	})
 }
 
-// addK registers the k-D plan for the ordered list attrs unless one
-// exists.
+// addK registers the k-D plan for the ordered list attrs.
 func (p *batchPlan) addK(ds *dataset.Dataset, nc int, attrs []int) error {
-	key := kKey(attrs)
-	if _, ok := p.kIdx[key]; ok {
-		return nil
-	}
-	kp := kPlan{attrs: append([]int(nil), attrs...)}
+	kp := kPlan{attrs: append([]int(nil), attrs...), cols: make([][]int32, len(attrs))}
 	cells := int64(nc)
 	for _, a := range attrs {
 		d := cubeDim(ds, a)
 		kp.dims = append(kp.dims, d)
-		kp.cols = append(kp.cols, ds.Column(a).Codes)
 		if cells > maxBatchScratchCells/int64(d+1) {
 			return fmt.Errorf("rulecube: cube over attributes %v too large to count (> %d scratch cells)", attrs, int64(maxBatchScratchCells))
 		}
@@ -307,74 +342,112 @@ func (p *batchPlan) addK(ds *dataset.Dataset, nc int, attrs []int) error {
 		kp.strides[i] = stride
 		stride *= kp.dims[i] + 1
 	}
-	kp.scratch = make([]int64, cells)
-	p.kIdx[key] = len(p.ks)
 	p.ks = append(p.ks, kp)
 	return nil
 }
 
 // addOne routes a 1-D request for a through a covering pair plan, or
 // registers a dedicated 1-D plan when no pair covers it.
-func (p *batchPlan) addOne(ds *dataset.Dataset, nc, a int) {
-	if _, ok := p.oneIdx[a]; ok {
-		return
-	}
-	if _, ok := p.derived[a]; ok {
-		return
-	}
+func (p *batchPlan) addOne(ds *dataset.Dataset, a int) route {
 	if pos := findPairFor(p.pairs, a); pos[0] >= 0 {
-		p.derived[a] = pos
-		return
+		return route{kind: routeDerived, i: pos[0], pos: pos[1]}
 	}
-	d := cubeDim(ds, a)
-	p.oneIdx[a] = len(p.ones)
-	p.ones = append(p.ones, onePlan{
-		a: a, col: ds.Column(a).Codes,
-		dim: d, scratch: make([]int64, (d+1)*nc),
+	p.ones = append(p.ones, onePlan{a: a, dim: cubeDim(ds, a)})
+	return route{kind: routeOne, i: len(p.ones) - 1}
+}
+
+// alloc backs every accumulator's scratch with one zeroed array.
+func (p *batchPlan) alloc() {
+	n := 0
+	p.eachScratch(func(_ *[]int64, cells int) { n += cells })
+	p.buf = make([]int64, n)
+	off := 0
+	p.eachScratch(func(scratch *[]int64, cells int) {
+		*scratch = p.buf[off : off+cells : off+cells]
+		off += cells
 	})
 }
 
-// extractAll materializes each distinct cube once from the counted
-// scratch (duplicate requests share the pointer) and reports how many
-// cubes were built.
-func extractAll(ds *dataset.Dataset, nc int, reqs [][]int, plan *batchPlan) ([]*Cube, int) {
-	out := make([]*Cube, len(reqs))
-	pairCubes := make([]*Cube, len(plan.pairs))
-	kCubes := make([]*Cube, len(plan.ks))
-	oneCubes := make(map[int]*Cube)
-	built := 0
-	for i, attrs := range reqs {
-		switch {
-		case len(attrs) >= 3:
-			ki := plan.kIdx[kKey(attrs)]
-			if kCubes[ki] == nil {
-				kCubes[ki] = extractK(ds, nc, &plan.ks[ki])
-				built++
-			}
-			out[i] = kCubes[ki]
-		case len(attrs) == 2:
-			pi := plan.pairIdx[[2]int{attrs[0], attrs[1]}]
-			if pairCubes[pi] == nil {
-				pairCubes[pi] = extractPair(ds, nc, &plan.pairs[pi])
-				built++
-			}
-			out[i] = pairCubes[pi]
-		default:
-			a := attrs[0]
-			c, ok := oneCubes[a]
-			if !ok {
-				if pos, der := plan.derived[a]; der {
-					c = extractDerivedOne(ds, nc, a, &plan.pairs[pos[0]], pos[1])
-				} else {
-					c = extractOne(ds, nc, &plan.ones[plan.oneIdx[a]])
-				}
-				oneCubes[a] = c
-				built++
-			}
-			out[i] = c
+// eachScratch visits every accumulator's scratch slice with its cell
+// count: a pair's is (dimA+1)(dimB+1) × nc cells, a 1-D plan's
+// (dim+1) × nc, a k-D plan's Π(dim_i+1) × nc.
+func (p *batchPlan) eachScratch(f func(scratch *[]int64, cells int)) {
+	for i := range p.pairs {
+		pp := &p.pairs[i]
+		f(&pp.scratch, pp.strideB*(pp.dimB+1))
+	}
+	for i := range p.ones {
+		o := &p.ones[i]
+		f(&o.scratch, (o.dim+1)*p.nc)
+	}
+	for i := range p.ks {
+		kp := &p.ks[i]
+		f(&kp.scratch, kp.strides[0]*(kp.dims[0]+1))
+	}
+}
+
+// bind points the plan's column slices at ds's current columns.
+// Appending rows can move a column's backing array, so a plan kept
+// across folds rebinds before each scan.
+func (p *batchPlan) bind(ds *dataset.Dataset) {
+	for i := range p.heads {
+		p.heads[i].col = ds.Column(p.heads[i].a).Codes
+	}
+	for i := range p.pairs {
+		p.pairs[i].colB = ds.Column(p.pairs[i].b).Codes
+	}
+	for i := range p.ones {
+		p.ones[i].col = ds.Column(p.ones[i].a).Codes
+	}
+	for i := range p.ks {
+		for d, a := range p.ks[i].attrs {
+			p.ks[i].cols[d] = ds.Column(a).Codes
 		}
 	}
-	return out, built
+}
+
+// fits reports whether the plan's dimensions still match ds's
+// dictionaries; appended rows that registered a label or class make a
+// kept plan stale.
+func (p *batchPlan) fits(ds *dataset.Dataset) bool {
+	if p.nc != ds.NumClasses() {
+		return false
+	}
+	for i := range p.pairs {
+		if p.pairs[i].dimA != cubeDim(ds, p.pairs[i].a) || p.pairs[i].dimB != cubeDim(ds, p.pairs[i].b) {
+			return false
+		}
+	}
+	for i := range p.ones {
+		if p.ones[i].dim != cubeDim(ds, p.ones[i].a) {
+			return false
+		}
+	}
+	for i := range p.ks {
+		for d, a := range p.ks[i].attrs {
+			if p.ks[i].dims[d] != cubeDim(ds, a) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// extractAll materializes each distinct cube once from the counted
+// scratch; duplicate requests share the pointer.
+func extractAll(ds *dataset.Dataset, reqs [][]int, plan *batchPlan) []*Cube {
+	out := make([]*Cube, len(reqs))
+	bySlot := make([]*Cube, plan.slots)
+	for i, r := range plan.routes {
+		c := bySlot[r.slot]
+		if c == nil {
+			c = newCubeHeader(ds, reqs[i], plan.nc)
+			plan.extract(r, c)
+			bySlot[r.slot] = c
+		}
+		out[i] = c
+	}
+	return out
 }
 
 // findPairFor locates a pair plan covering attribute a, returning its
@@ -397,14 +470,14 @@ func findPairFor(pairs []pairPlan, a int) [2]int {
 // amortize the per-shard scratch (counts are additive; shard partials
 // merge by summation). Every shard observes ctx between row blocks; a
 // canceled scan returns ctx.Err() once all shards have stopped.
-func scanAll(ctx context.Context, classCol []int32, nc int, plan *batchPlan, lo, hi int) error {
+func scanAll(ctx context.Context, classCol []int32, plan *batchPlan, lo, hi int) error {
 	rows := hi - lo
 	shards := runtime.GOMAXPROCS(0)
 	if max := rows / batchShardRows; shards > max {
 		shards = max
 	}
 	if shards <= 1 {
-		return scanRange(ctx, classCol, nc, plan, lo, hi)
+		return scanRange(ctx, classCol, plan, lo, hi)
 	}
 	parts := plan.shardPlans(shards)
 	var wg sync.WaitGroup
@@ -419,7 +492,7 @@ func scanAll(ctx context.Context, classCol []int32, nc int, plan *batchPlan, lo,
 		wg.Add(1)
 		go func(s int, part *batchPlan, slo, shi int) {
 			defer wg.Done()
-			errs[s] = scanRange(ctx, classCol, nc, part, slo, shi)
+			errs[s] = scanRange(ctx, classCol, part, slo, shi)
 		}(s, part, slo, shi)
 	}
 	wg.Wait()
@@ -430,45 +503,30 @@ func scanAll(ctx context.Context, classCol []int32, nc int, plan *batchPlan, lo,
 	return nil
 }
 
+// addShards sums the extra shards' scratch into the plan's own.
+func (p *batchPlan) addShards(shards []*batchPlan) {
+	for _, q := range shards {
+		AddCounts(p.buf, q.buf)
+	}
+}
+
 // shardPlans returns one plan per scan shard: shard 0 scans into p's
-// own scratch, each extra shard into a private zeroed copy of the
-// scratch arrays, summed back by addShards after the pass.
+// own scratch, each extra shard into a private zeroed copy with the
+// same layout, summed back into p.buf after the pass.
 func (p *batchPlan) shardPlans(shards int) []*batchPlan {
 	parts := []*batchPlan{p}
 	for len(parts) < shards {
 		q := &batchPlan{
+			nc:    p.nc,
 			pairs: append([]pairPlan(nil), p.pairs...),
 			heads: p.heads,
 			ones:  append([]onePlan(nil), p.ones...),
 			ks:    append([]kPlan(nil), p.ks...),
 		}
-		for i := range q.pairs {
-			q.pairs[i].scratch = make([]int64, len(p.pairs[i].scratch))
-		}
-		for i := range q.ones {
-			q.ones[i].scratch = make([]int64, len(p.ones[i].scratch))
-		}
-		for i := range q.ks {
-			q.ks[i].scratch = make([]int64, len(p.ks[i].scratch))
-		}
+		q.alloc()
 		parts = append(parts, q)
 	}
 	return parts
-}
-
-// addShards sums the extra shards' scratch into the plan's own.
-func (p *batchPlan) addShards(shards []*batchPlan) {
-	for _, q := range shards {
-		for i := range p.pairs {
-			AddCounts(p.pairs[i].scratch, q.pairs[i].scratch)
-		}
-		for i := range p.ones {
-			AddCounts(p.ones[i].scratch, q.ones[i].scratch)
-		}
-		for i := range p.ks {
-			AddCounts(p.ks[i].scratch, q.ks[i].scratch)
-		}
-	}
 }
 
 // scanBlockRows sizes the row blocks of the shared scan: small enough
@@ -493,12 +551,12 @@ const scanBlockRows = 2048
 // indexes one column at a time — each dimension adds its stride term
 // across the whole block, then one pass increments — instead of
 // walking every dimension per row. ctx is checked before each block.
-func scanRange(ctx context.Context, classCol []int32, nc int, plan *batchPlan, lo, hi int) error {
-	pairs, ones, ks := plan.pairs, plan.ones, plan.ks
-	var idx []int // per-row partial cell indexes of one block
-	if len(ks) > 0 || len(plan.heads) < len(pairs) {
-		idx = make([]int, scanBlockRows)
+func scanRange(ctx context.Context, classCol []int32, plan *batchPlan, lo, hi int) error {
+	nc, pairs, ones, ks := plan.nc, plan.pairs, plan.ones, plan.ks
+	if plan.idx == nil && (len(ks) > 0 || len(plan.heads) < len(pairs)) {
+		plan.idx = make([]int, scanBlockRows)
 	}
+	idx := plan.idx
 	for blo := lo; blo < hi; blo += scanBlockRows {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -612,68 +670,155 @@ func newCubeHeader(ds *dataset.Dataset, attrs []int, nc int) *Cube {
 	return c
 }
 
-// extractPair copies the present-value block of a pair plan's scratch
-// into an exact cube in the requested dimension order: slot 0 of
-// either dimension (rows where that value was missing) is dropped — a
-// cube skips rows with a missing value in any of its dimensions. An
-// unflipped plan transposes the b-outer scratch to the cube's a-outer
-// order; a flipped one was requested b-first, so each b value's
-// present block copies straight across.
-func extractPair(ds *dataset.Dataset, nc int, p *pairPlan) *Cube {
+// Extraction adds a counted accumulator's cells into a destination
+// cube laid out in the requested dimension order, and raises its total
+// by their sum: a build extracts into a fresh zeroed cube from
+// newCubeHeader, a fold straight into the resident cube. Slot 0 of
+// every condition dimension (rows where that value was missing) is
+// dropped — a cube skips rows with a missing value in any of its
+// dimensions — except where a derived 1-D cube marginalizes it.
+
+// extract adds route r's counted cells into dst, which must have the
+// route's layout (layoutMatches).
+func (p *batchPlan) extract(r route, dst *Cube) {
+	var sum int64
+	switch r.kind {
+	case routePair:
+		sum = p.pairs[r.i].extract(dst.counts, p.nc)
+	case routeDerived:
+		sum = p.pairs[r.i].marginal(dst.counts, p.nc, r.pos)
+	case routeOne:
+		o := &p.ones[r.i]
+		sum = addCells(dst.counts, o.scratch[p.nc:(o.dim+1)*p.nc])
+	case routeK:
+		sum = p.ks[r.i].extract(dst.counts)
+	}
+	dst.total += sum
+}
+
+// extractInto adds every request's counted cells into its cube:
+// cubes[i] receives request i's.
+func (p *batchPlan) extractInto(cubes []*Cube) {
+	for i, r := range p.routes {
+		p.extract(r, cubes[i])
+	}
+}
+
+// layoutMatches reports whether c is laid out the way route r
+// extracts: the accumulator's dimensions in request order and the
+// plan's class count.
+func (p *batchPlan) layoutMatches(r route, c *Cube) bool {
+	if c.numClasses != p.nc {
+		return false
+	}
+	switch r.kind {
+	case routePair:
+		pp := &p.pairs[r.i]
+		d0, d1 := pp.dimA, pp.dimB
+		if pp.flip {
+			d0, d1 = d1, d0
+		}
+		return len(c.dims) == 2 && c.dims[0] == d0 && c.dims[1] == d1
+	case routeDerived:
+		d := p.pairs[r.i].dimA
+		if r.pos == 1 {
+			d = p.pairs[r.i].dimB
+		}
+		return len(c.dims) == 1 && c.dims[0] == d
+	case routeOne:
+		return len(c.dims) == 1 && c.dims[0] == p.ones[r.i].dim
+	case routeK:
+		return slices.Equal(c.dims, p.ks[r.i].dims)
+	}
+	return false
+}
+
+// addCells adds src into dst element-wise and returns src's sum.
+func addCells(dst, src []int64) int64 {
+	var sum int64
+	for i, n := range src {
+		dst[i] += n
+		sum += n
+	}
+	return sum
+}
+
+// extract adds the pair's present-value block into dst. An unflipped
+// plan transposes the b-outer scratch to the cube's a-outer order; a
+// flipped one was requested b-first, so each b value's present block
+// adds straight across.
+func (p *pairPlan) extract(dst []int64, nc int) int64 {
+	var sum int64
 	if p.flip {
-		c := newCubeHeader(ds, []int{p.b, p.a}, nc)
 		blk := p.dimA * nc
 		for vb := 0; vb < p.dimB; vb++ {
 			src := (vb+1)*p.strideB + nc
-			copy(c.counts[vb*blk:(vb+1)*blk], p.scratch[src:src+blk])
+			sum += addCells(dst[vb*blk:(vb+1)*blk], p.scratch[src:src+blk])
 		}
-		return withTotal(c)
+		return sum
 	}
-	c := newCubeHeader(ds, []int{p.a, p.b}, nc)
-	dst := 0
+	off := 0
 	for va := 0; va < p.dimA; va++ {
 		for vb := 0; vb < p.dimB; vb++ {
 			src := (vb+1)*p.strideB + (va+1)*nc
-			copy(c.counts[dst:dst+nc], p.scratch[src:src+nc])
-			dst += nc
+			sum += addCells(dst[off:off+nc], p.scratch[src:src+nc])
+			off += nc
 		}
 	}
-	return withTotal(c)
+	return sum
 }
 
-// withTotal sets a freshly extracted cube's total from its cells.
-func withTotal(c *Cube) *Cube {
-	for _, n := range c.counts {
-		c.total += n
+// marginal adds the 1-D cube of the attribute at plan position pos (0
+// for the head, 1 for the partner) into dst by marginalizing the other
+// dimension across *all* its slots — missing slot included, because a
+// row with a present value and class is counted in the scratch
+// wherever its partner value fell, and a 1-D cube keeps exactly those
+// rows regardless of the partner.
+func (p *pairPlan) marginal(dst []int64, nc, pos int) int64 {
+	var sum int64
+	if pos == 0 {
+		for va := 0; va < p.dimA; va++ {
+			d := dst[va*nc : (va+1)*nc]
+			for sb := 0; sb <= p.dimB; sb++ {
+				off := sb*p.strideB + (va+1)*nc
+				sum += addCells(d, p.scratch[off:off+nc])
+			}
+		}
+		return sum
 	}
-	return c
+	for vb := 0; vb < p.dimB; vb++ {
+		d := dst[vb*nc : (vb+1)*nc]
+		base := (vb + 1) * p.strideB
+		for sa := 0; sa <= p.dimA; sa++ {
+			sum += addCells(d, p.scratch[base+sa*nc:base+(sa+1)*nc])
+		}
+	}
+	return sum
 }
 
-// extractOne copies a dedicated 1-D plan's present-value block.
-func extractOne(ds *dataset.Dataset, nc int, o *onePlan) *Cube {
-	c := newCubeHeader(ds, []int{o.a}, nc)
-	copy(c.counts, o.scratch[nc:(o.dim+1)*nc])
-	return withTotal(c)
-}
-
-// extractK copies the present-value block of a k-D plan's scratch into
-// an exact cube: slot 0 of every condition dimension (rows where that
-// value was missing) is dropped. The innermost dimension's present block is contiguous in both
-// layouts, so the copy walks an odometer over the outer dimensions and
-// moves dims[k-1]×nc cells at a time.
-func extractK(ds *dataset.Dataset, nc int, p *kPlan) *Cube {
-	c := newCubeHeader(ds, p.attrs, nc)
+// extract adds the k-D plan's present-value block into dst. The
+// innermost dimension's present block is contiguous in both layouts,
+// so the walk is an odometer over the outer dimensions that moves
+// dims[k-1]×nc cells at a time; the odometer lives on the stack for
+// k ≤ 8.
+func (p *kPlan) extract(dst []int64) int64 {
 	k := len(p.dims)
-	blk := p.dims[k-1] * nc
-	idx := make([]int, k-1)
-	dst := 0
+	blk := p.dims[k-1] * p.strides[k-1]
+	var odo [8]int
+	idx := odo[:]
+	if k-1 > len(odo) {
+		idx = make([]int, k-1)
+	}
+	idx = idx[:k-1]
+	var sum int64
+	off := 0
 	for {
 		src := p.strides[k-1] // skip slot 0 of the innermost dimension
 		for i := 0; i < k-1; i++ {
 			src += (idx[i] + 1) * p.strides[i]
 		}
-		copy(c.counts[dst:dst+blk], p.scratch[src:src+blk])
-		dst += blk
+		sum += addCells(dst[off:off+blk], p.scratch[src:src+blk])
+		off += blk
 		i := k - 2
 		for ; i >= 0; i-- {
 			idx[i]++
@@ -683,35 +828,7 @@ func extractK(ds *dataset.Dataset, nc int, p *kPlan) *Cube {
 			idx[i] = 0
 		}
 		if i < 0 {
-			break
+			return sum
 		}
 	}
-	return withTotal(c)
-}
-
-// extractDerivedOne reproduces attribute a's 1-D cube from a pair
-// plan's scratch by marginalizing the partner dimension across *all*
-// its slots — missing slot included, because a row with a present a and
-// class is counted in the scratch wherever its partner value fell, and
-// a 1-D cube keeps exactly those rows regardless of the partner.
-func extractDerivedOne(ds *dataset.Dataset, nc int, a int, p *pairPlan, pos int) *Cube {
-	c := newCubeHeader(ds, []int{a}, nc)
-	if pos == 0 {
-		for va := 0; va < p.dimA; va++ {
-			dst := c.counts[va*nc : (va+1)*nc]
-			for sb := 0; sb <= p.dimB; sb++ {
-				off := sb*p.strideB + (va+1)*nc
-				AddCounts(dst, p.scratch[off:off+nc])
-			}
-		}
-	} else {
-		for vb := 0; vb < p.dimB; vb++ {
-			dst := c.counts[vb*nc : (vb+1)*nc]
-			base := (vb + 1) * p.strideB
-			for sa := 0; sa <= p.dimA; sa++ {
-				AddCounts(dst, p.scratch[base+sa*nc:base+(sa+1)*nc])
-			}
-		}
-	}
-	return withTotal(c)
 }

@@ -166,9 +166,13 @@ func checkFlips(t *testing.T, ds *dataset.Dataset, reqs [][]int, want map[[2]int
 	if err != nil {
 		t.Fatal(err)
 	}
-	for k, i := range plan.pairIdx {
-		if plan.pairs[i].flip != want[k] {
-			t.Errorf("pair %v: flip = %v, want %v", k, plan.pairs[i].flip, want[k])
+	for i, r := range plan.routes {
+		if r.kind != routePair {
+			continue
+		}
+		k := [2]int{reqs[i][0], reqs[i][1]}
+		if plan.pairs[r.i].flip != want[k] {
+			t.Errorf("pair %v: flip = %v, want %v", k, plan.pairs[r.i].flip, want[k])
 		}
 	}
 }

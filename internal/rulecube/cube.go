@@ -470,6 +470,9 @@ type Store struct {
 	attrs []int
 	oneD  map[int]*Cube
 	twoD  map[[2]int]*Cube
+	// folder folds appended rows into every cube; nil until the first
+	// fold and again whenever a cube is added.
+	folder *folder
 }
 
 // CubesBuiltCounterName is the counter advanced once per distinct cube
@@ -575,10 +578,16 @@ func (s *Store) Cube2(a, b int) *Cube { return s.twoD[pairKey(a, b)] }
 // putCube1 records the 2-D cube for attr. All writes to the oneD map
 // go through here so the cubeaccess lint can confine cube-cache map
 // access to the owning accessors.
-func (s *Store) putCube1(attr int, c *Cube) { s.oneD[attr] = c }
+func (s *Store) putCube1(attr int, c *Cube) {
+	s.oneD[attr] = c
+	s.folder = nil
+}
 
 // putCube2 records the 3-D cube for the (normalized) attribute pair.
-func (s *Store) putCube2(a, b int, c *Cube) { s.twoD[pairKey(a, b)] = c }
+func (s *Store) putCube2(a, b int, c *Cube) {
+	s.twoD[pairKey(a, b)] = c
+	s.folder = nil
+}
 
 // oneDAttrs returns the attribute indices with a materialized 1-D cube,
 // in ascending order.

@@ -2,6 +2,7 @@ package rulecube
 
 import (
 	"context"
+	"fmt"
 
 	"opmap/internal/dataset"
 )
@@ -9,40 +10,33 @@ import (
 // This file is the incremental-maintenance path behind streaming
 // ingestion: contingency counts are additive, so appended rows fold
 // into a materialized cube by counting just those rows with the shared
-// scan and summing the result in, instead of a rebuild. The only
-// structural wrinkle is dictionary growth — cubes share their
-// dictionaries with the dataset, so when an appended row registers a
-// new label the cube's dims lag the dictionary until SyncDims re-lays
-// the counts array out for the larger domain.
+// scan and adding the counted cells straight into the cube, instead of
+// a rebuild. The only structural wrinkle is dictionary growth — cubes
+// share their dictionaries with the dataset, so when an appended row
+// registers a new label the cube's dims lag the dictionary until
+// SyncDims re-lays the counts array out for the larger domain.
 
 // SyncDims grows the cube's dimensions (and class count) to match its
 // dictionaries after appended rows registered new labels, re-laying out
 // the counts array. Existing cells keep their coordinates; new cells
 // start at zero. Dictionaries only grow, so this is monotone; a no-op
-// when nothing changed, which is the steady state.
+// that allocates nothing when nothing changed, which is the steady
+// state.
 func (c *Cube) SyncDims() {
-	newDims := make([]int, len(c.dims))
-	changed := false
+	changed := c.classDict.Len() > c.numClasses
 	for i, d := range c.dicts {
-		card := d.Len()
-		if card == 0 {
-			card = 1 // mirror Build: an empty domain still needs a slot
-		}
-		if card < c.dims[i] {
-			card = c.dims[i]
-		}
-		if card != c.dims[i] {
+		if syncedDim(d, c.dims[i]) != c.dims[i] {
 			changed = true
 		}
-		newDims[i] = card
 	}
-	newClasses := c.classDict.Len()
-	if newClasses < c.numClasses {
-		newClasses = c.numClasses
-	}
-	if !changed && newClasses == c.numClasses {
+	if !changed {
 		return
 	}
+	newDims := make([]int, len(c.dims))
+	for i, d := range c.dicts {
+		newDims[i] = syncedDim(d, c.dims[i])
+	}
+	newClasses := max(c.classDict.Len(), c.numClasses)
 	size := newClasses
 	for _, d := range newDims {
 		size *= d
@@ -74,53 +68,104 @@ func (c *Cube) SyncDims() {
 	c.counts = nc
 }
 
-// FoldRows adds rows [lo, hi) of ds — rows appended after the cubes
-// were counted — into every cube: one shared scan counts the range per
-// cube (each cube's own dimension order), then Cube.Merge sums each
-// count in, growing the cube first where the rows registered new
-// labels. Rows with a missing class or a missing value in a cube's
-// dimensions are skipped, as in any build. The cubes must be over ds
-// (sharing its dictionaries). A failed or canceled scan leaves every
-// cube untouched; a merge error can leave earlier cubes updated, so
-// callers treat any error as fatal to the cubes (the session drops and
-// rebuilds its engine). Metrics do not advance: no cube was built.
-func FoldRows(ctx context.Context, ds *dataset.Dataset, cubes []*Cube, lo, hi int) error {
-	if lo >= hi || len(cubes) == 0 {
-		return nil
-	}
-	reqs := dimLists(cubes)
-	if err := validateReqs(ds, reqs); err != nil {
-		return err
-	}
-	counted, _, err := countRange(ctx, ds, reqs, lo, hi)
-	if err != nil {
-		return err
-	}
-	return mergeEach(cubes, counted)
+// syncedDim is the size a dimension of current size dim grows to for
+// dictionary d: never smaller, and an empty domain still needs one
+// slot, mirroring Build.
+func syncedDim(d *dataset.Dictionary, dim int) int {
+	return max(d.Len(), 1, dim)
 }
 
-// dimLists returns each cube's condition attributes in cube order.
-func dimLists(cubes []*Cube) [][]int {
+// folder folds appended row ranges into a fixed list of cubes over one
+// dataset (sharing its dictionaries). It keeps its scan plan, and the
+// plan's one scratch array, between folds: the array comes back
+// zeroed after every fold, and the plan is rebuilt only when appended
+// rows grew a dimension. A steady-state fold therefore allocates
+// nothing per cube.
+type folder struct {
+	ds    *dataset.Dataset
+	cubes []*Cube
+	reqs  [][]int
+	plan  *batchPlan
+}
+
+// newFolder returns a folder for cubes, which must be over ds.
+func newFolder(ds *dataset.Dataset, cubes []*Cube) *folder {
 	reqs := make([][]int, len(cubes))
 	for i, c := range cubes {
 		reqs[i] = c.attrIdx
 	}
-	return reqs
+	return &folder{ds: ds, cubes: cubes, reqs: reqs}
 }
 
-// mergeEach sums counted[i] into cubes[i] for every i.
-func mergeEach(cubes, counted []*Cube) error {
-	for i, c := range cubes {
-		if err := c.Merge(counted[i], nil, nil); err != nil {
+// fold adds rows [lo, hi) into every cube in place (see FoldRows).
+func (f *folder) fold(ctx context.Context, lo, hi int) error {
+	if lo >= hi || len(f.cubes) == 0 {
+		return nil
+	}
+	if err := f.prepare(); err != nil {
+		return err
+	}
+	defer clear(f.plan.buf)
+	if err := scanAll(ctx, f.ds.Column(f.ds.ClassIndex()).Codes, f.plan, lo, hi); err != nil {
+		return err
+	}
+	f.plan.extractInto(f.cubes)
+	return nil
+}
+
+// prepare grows every cube to its dictionaries, re-plans when the
+// kept plan no longer fits the dataset (or rebinds it to the current
+// columns), and checks each cube's layout against its route.
+func (f *folder) prepare() error {
+	for _, c := range f.cubes {
+		c.SyncDims()
+	}
+	if f.plan != nil && f.plan.fits(f.ds) {
+		f.plan.bind(f.ds)
+	} else {
+		if err := validateReqs(f.ds, f.reqs); err != nil {
 			return err
+		}
+		plan, err := planBatch(f.ds, f.ds.NumClasses(), f.reqs)
+		if err != nil {
+			return err
+		}
+		f.plan = plan
+	}
+	for i, r := range f.plan.routes {
+		if c := f.cubes[i]; !f.plan.layoutMatches(r, c) {
+			return fmt.Errorf("rulecube: cannot fold into cube %v: layout %v × %d classes differs from the dataset's", c.attrNames, c.dims, c.numClasses)
 		}
 	}
 	return nil
 }
 
+// FoldRows adds rows [lo, hi) of ds — rows appended after the cubes
+// were counted — into every cube in place: each cube first grows to
+// its dictionaries (SyncDims), then one shared scan counts the range
+// into the plan's scratch, and extraction adds each cube's cells
+// straight into its counts and raises its total by their sum. Rows
+// with a missing class or a missing value in a cube's dimensions are
+// skipped, as in any build. The cubes must be over ds (sharing its
+// dictionaries): a cube whose layout differs from the plan's fails the
+// fold before any count moves, as does a failed or canceled scan.
+// Callers still treat any error as fatal to the cubes (the session
+// drops and rebuilds its engine). Metrics do not advance: no cube was
+// built.
+func FoldRows(ctx context.Context, ds *dataset.Dataset, cubes []*Cube, lo, hi int) error {
+	return newFolder(ds, cubes).fold(ctx, lo, hi)
+}
+
 // FoldRows adds rows [lo, hi) of the store's dataset into every
-// materialized cube (see the package-level FoldRows). The caller owns
-// concurrency: the store is not safe for writes concurrent with reads.
+// materialized cube (see the package-level FoldRows). The store keeps
+// one folder over its cubes, in map order (fold order does not change
+// counts), until a cube is added. The caller owns concurrency: the
+// store is not safe for writes concurrent with reads.
 func (st *Store) FoldRows(ctx context.Context, lo, hi int) error {
-	return FoldRows(ctx, st.ds, st.Cubes(), lo, hi)
+	if st.folder == nil {
+		cubes := make([]*Cube, 0, st.CubeCount())
+		st.forEachCube(func(c *Cube) { cubes = append(cubes, c) })
+		st.folder = newFolder(st.ds, cubes)
+	}
+	return st.folder.fold(ctx, lo, hi)
 }

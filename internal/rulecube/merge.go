@@ -6,17 +6,17 @@ import (
 	"opmap/internal/dataset"
 )
 
-// This file is the additive-merge primitive the build, ingest, and
-// snapshot layers share. Contingency counts are additive: two cubes
-// counted over disjoint row sets combine exactly by cell-wise
-// summation, provided both sides agree on what each cell means. When
-// they don't — two shards loaded from different CSV slices register
-// labels in different orders — the merge remaps source coordinates
-// through the dictionary union (dataset.UnionDicts) first. Everything
-// that combines counts funnels through here: BuildMany's row-shard
-// scratch merge (AddCounts), WAL ingest folding the counted appended
-// rows in (Cube.Merge via FoldRows), and shard-snapshot assembly
-// (Store.Merge).
+// This file is the additive-merge primitive the build and snapshot
+// layers share. Contingency counts are additive: two cubes counted
+// over disjoint row sets combine exactly by cell-wise summation,
+// provided both sides agree on what each cell means. When they don't
+// — two shards loaded from different CSV slices register labels in
+// different orders — the merge remaps source coordinates through the
+// dictionary union (dataset.UnionDicts) first. BuildMany's row-shard
+// scratch merge (AddCounts) and shard-snapshot assembly (Store.Merge,
+// Cube.Merge) funnel through here. WAL ingest does not: its fold
+// counts the appended rows into the kernel's scratch and extraction
+// adds them straight into the resident cubes (FoldRows, ingest.go).
 
 // AddCounts accumulates src into dst element-wise: dst[i] += src[i].
 // This is the raw merge primitive for two count arrays with identical

@@ -228,10 +228,12 @@ func New(cfg Config) (*Server, error) {
 	s.metrics.Histogram(opmap.ShardMergeHistogramName, nil)
 	s.metrics.Counter(opmap.ShardsMergedCounterName)
 	// Ingest series exist whether or not ingestion is enabled, so the
-	// kill -9 smoke can assert opmap_wal_replayed_records_total moved
-	// and dashboards can alert on sheds from the first scrape.
+	// kill -9 smoke can assert opmap_wal_replayed_records_total and
+	// opmap_ingest_folds_total moved and dashboards can alert on sheds
+	// from the first scrape.
 	s.metrics.Counter(metricIngestRows)
 	s.metrics.Counter(metricIngestSheds)
+	s.metrics.Counter(opmap.IngestFoldsCounterName)
 	wal.PreRegister(s.metrics)
 	s.ready.Store(true)
 	return s, nil

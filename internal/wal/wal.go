@@ -324,6 +324,19 @@ func (l *Log) rotate() error {
 // returns how many records were delivered. A non-nil error from fn
 // aborts the replay and is returned as-is.
 func (l *Log) Replay(from uint64, fn func(seq uint64, payload []byte) error) (int, error) {
+	return l.scan(from, func(seq uint64, payload []byte) error {
+		if err := fn(seq, payload); err != nil {
+			return err
+		}
+		l.replayed.Inc()
+		return nil
+	})
+}
+
+// scan streams every durable record with sequence >= from, in order,
+// to fn, behind the replay fault-injection site, and returns how many
+// records fn accepted. Replay and ReplayGroups share it.
+func (l *Log) scan(from uint64, fn func(seq uint64, payload []byte) error) (int, error) {
 	segs, err := l.segments()
 	if err != nil {
 		return 0, err
@@ -334,11 +347,7 @@ func (l *Log) Replay(from uint64, fn func(seq uint64, payload []byte) error) (in
 			if err := faultinject.Hit(faultinject.SiteWALReplay); err != nil {
 				return fmt.Errorf("wal: replay: %w", err)
 			}
-			if err := fn(seq, payload); err != nil {
-				return err
-			}
-			l.replayed.Inc()
-			return nil
+			return fn(seq, payload)
 		})
 		total += n
 		if err != nil {
@@ -346,6 +355,75 @@ func (l *Log) Replay(from uint64, fn func(seq uint64, payload []byte) error) (in
 		}
 	}
 	return total, nil
+}
+
+// GroupRows caps the rows of one replay group (ReplayGroups) and of
+// one grouped live apply. A group's decoded rows stay in memory until
+// the group applies — a row decodes to one string per field, about
+// 0.95 KB at 46 attributes, so a full group holds about 8 MB — and the
+// whole group applies under the session's write lock: appending and
+// folding 8k rows into the 1,081 cubes of a 46-attribute eager store
+// holds it for about 50 ms (measured on a 2-vCPU x86-64 VM), a pause
+// readers tolerate. The fold's fixed cost (one pass over every
+// resident cube's cells) is about 2 ms there, so larger groups would
+// save little.
+const GroupRows = 1 << 13
+
+// Batch is one decoded WAL record: its sequence and its rows.
+type Batch struct {
+	Seq  uint64
+	Rows [][]string
+}
+
+// ReplayGroups is Replay for row batches (EncodeRows payloads): it
+// decodes every record with sequence >= from and hands fn runs of
+// consecutive records, in order, each run closing before a record
+// that would take it past GroupRows rows (a larger record forms a run
+// of its own). A payload that does not decode aborts the replay,
+// after the records before it are delivered, with an error naming its
+// sequence: its CRC matched, so it is a writer bug, not a torn tail,
+// and dropping acknowledged rows silently would be worse. The
+// replayed-records counter advances by a run's length once fn accepts
+// it; the return value counts the records of accepted runs. A non-nil
+// error from fn aborts the replay and is returned as-is.
+func (l *Log) ReplayGroups(from uint64, fn func(run []Batch) error) (int, error) {
+	var (
+		run       []Batch
+		rows, out int
+	)
+	flush := func() error {
+		if len(run) == 0 {
+			return nil
+		}
+		if err := fn(run); err != nil {
+			return err
+		}
+		l.replayed.Add(int64(len(run)))
+		out += len(run)
+		run, rows = nil, 0
+		return nil
+	}
+	_, err := l.scan(from, func(seq uint64, payload []byte) error {
+		recRows, err := DecodeRows(payload)
+		if err != nil {
+			if ferr := flush(); ferr != nil {
+				return ferr
+			}
+			return fmt.Errorf("wal: replay: seq %d: %w", seq, err)
+		}
+		if len(run) > 0 && rows+len(recRows) > GroupRows {
+			if err := flush(); err != nil {
+				return err
+			}
+		}
+		run = append(run, Batch{Seq: seq, Rows: recRows})
+		rows += len(recRows)
+		return nil
+	})
+	if err == nil {
+		err = flush()
+	}
+	return out, err
 }
 
 // TruncateThrough removes sealed segments whose every record has
