@@ -289,14 +289,11 @@ func (s *Session) validateBatch(rows [][]string) ([][]float64, error) {
 			if !s.binnedAttr(i) {
 				continue
 			}
-			v := row[i]
-			if v == dataset.MissingLabel || v == "" {
-				fr[i] = math.NaN()
-				continue
+			f, err := dataset.ParseValue(row[i])
+			if err != nil {
+				return nil, fmt.Errorf("opmap: append row %d attribute %q: cannot parse %q as number", r, s.raw.Attr(i).Name, row[i])
 			}
-			if _, err := fmt.Sscanf(v, "%g", &fr[i]); err != nil {
-				return nil, fmt.Errorf("opmap: append row %d attribute %q: cannot parse %q as number", r, s.raw.Attr(i).Name, v)
-			}
+			fr[i] = f
 		}
 		floats[r] = fr
 	}

@@ -325,6 +325,10 @@ done
     -probe-body '{"rows": [["east","m1","33","slow"]]}' \
     | grep -q '"seq": 2'
 "$smokedir/opmapd" -probe "$addr5/metrics" | grep -qF 'opmap_ingest_rows_total 3'
+# Set-up splits into load and build in the daemon's own output: one
+# timed CSV load (8 rows × 4 attributes), logged and counted.
+grep -qF 'dataset "ing": loaded 8 rows × 4 attributes in ' "$smokedir/opmapd5.log"
+"$smokedir/opmapd" -probe "$addr5/metrics" | grep -qF 'opmap_stage_duration_seconds_count{stage="load"} 1'
 # Capture results that include the appended rows, then hard-kill: no
 # drain, no checkpoint — only the fsynced WAL survives.
 "$smokedir/opmapd" -probe "$addr5/api/overview" >"$smokedir/overview.ingest"
@@ -642,6 +646,7 @@ go test -run '^$' -fuzz '^FuzzSweepOptions$' -fuzztime 10s ./internal/compare
 go test -run '^$' -fuzz '^FuzzReadSnapshot$' -fuzztime 10s ./internal/snapshot
 go test -run '^$' -fuzz '^FuzzMergeSnapshots$' -fuzztime 10s ./internal/snapshot
 go test -run '^$' -fuzz '^FuzzReplayWAL$' -fuzztime 10s ./internal/wal
+go test -run '^$' -fuzz '^FuzzReadCSV$' -fuzztime 10s ./internal/dataset
 
 echo "== bench (stage timings + engine modes + snapshot + ingest + batch + shard + drilldown) =="
 # The artifact series jumps pr5 -> pr7 -> pr8 -> pr9 -> pr10:

@@ -163,6 +163,19 @@ func (p *ingestPipe) replayAndServe() {
 	from := p.sess.IngestSeq() + 1
 	folds := 0
 	n, err := p.log.ReplayGroups(from, func(run []opmap.SeqBatch) error {
+		// Live ingest validates a batch before it reaches the WAL, so a
+		// record that fails validation now was acknowledged by a more
+		// lenient build (one that read "1.5abc" as 1.5, say). Skipping
+		// it would drop acknowledged rows: apply the records before it
+		// and fail the replay, leaving it the next record to replay.
+		for i, b := range run {
+			if err := p.sess.ValidateBatch(b.Rows); err != nil {
+				if i > 0 {
+					folds += p.apply(run[:i])
+				}
+				return fmt.Errorf("WAL batch seq %d no longer validates: %w", b.Seq, err)
+			}
+		}
 		folds += p.apply(run)
 		return nil
 	})
@@ -216,8 +229,9 @@ func (p *ingestPipe) takeQueued(job ingestJob) []opmap.SeqBatch {
 // the batches' rows without the sequence that makes recovery skip
 // them. A rejected batch is logged and skipped — Append validates
 // before mutating, so a bad batch leaves the session consistent, and
-// replay after a crash reproduces exactly the same decision. It
-// returns the number of kernel folds the run took.
+// replay after a crash reproduces exactly the same decision (replay
+// validates each record first and stops at one that no longer
+// validates). It returns the number of kernel folds the run took.
 func (p *ingestPipe) apply(batches []opmap.SeqBatch) int {
 	res := p.sess.AppendSeqs(context.Background(), batches)
 	for i, err := range res.Errs {

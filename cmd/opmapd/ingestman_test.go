@@ -2,6 +2,8 @@ package main
 
 import (
 	"context"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"slices"
@@ -10,6 +12,7 @@ import (
 	"time"
 
 	"opmap"
+	"opmap/internal/server"
 	"opmap/internal/wal"
 )
 
@@ -277,4 +280,121 @@ func seqsOf(batches []opmap.SeqBatch) []uint64 {
 		seqs[i] = b.Seq
 	}
 	return seqs
+}
+
+// TestIngestRejectsTrailingGarbage: a numeric field with text after
+// the number ("42abc", "42 7") makes POST /api/ingest answer 400, and
+// the rejected batch reaches neither the WAL nor the session.
+func TestIngestRejectsTrailingGarbage(t *testing.T) {
+	dir := t.TempDir()
+	im, err := newIngestman(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer im.close()
+	sess := ingestTestSession(t)
+	if err := im.start(server.DefaultDatasetName, sess); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "initial replay", func() bool { return !im.replaying(server.DefaultDatasetName) })
+	srv, err := server.New(server.Config{Session: sess, Ingest: im.append, IngestStatus: im.replaying})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.SetReady(true)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	post := func(body string) int {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/api/ingest", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	if code := post(`{"rows": [["north","m1","42","fail"]]}`); code != http.StatusOK {
+		t.Fatalf("valid batch = %d, want 200", code)
+	}
+	waitFor(t, "batch applied", func() bool { return sess.IngestSeq() == 1 })
+	walBytes := func() int64 {
+		var n int64
+		err := filepath.WalkDir(dir, func(_ string, d os.DirEntry, err error) error {
+			if err != nil || d.IsDir() {
+				return err
+			}
+			info, err := d.Info()
+			n += info.Size()
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	before, rows := walBytes(), sess.NumRows()
+	for _, bad := range []string{"42abc", "42 7"} {
+		body := `{"rows": [["east","m2","12","ok"],["north","m1","` + bad + `","fail"]]}`
+		if code := post(body); code != http.StatusBadRequest {
+			t.Errorf("batch with Temp %q = %d, want 400", bad, code)
+		}
+	}
+	if got := walBytes(); got != before {
+		t.Errorf("rejected batches changed the WAL: %d bytes, was %d", got, before)
+	}
+	if sess.NumRows() != rows || sess.IngestSeq() != 1 {
+		t.Errorf("rejected batches changed the session: %d rows at seq %d, want %d at 1", sess.NumRows(), sess.IngestSeq(), rows)
+	}
+	if code := post(`{"rows": [["east","m2","12","ok"]]}`); code != http.StatusOK {
+		t.Fatalf("valid batch after rejections = %d, want 200", code)
+	}
+	waitFor(t, "second batch applied", func() bool { return sess.IngestSeq() == 2 })
+}
+
+// TestReplayStopsAtRecordThatNoLongerValidates: a WAL record acked by
+// a build that read "1.5abc" as 1.5 fails the replay instead of being
+// dropped. The records before it apply, the ingest sequence stays
+// below it, and the dataset keeps refusing live ingest.
+func TestReplayStopsAtRecordThatNoLongerValidates(t *testing.T) {
+	dir := t.TempDir()
+	lg, err := wal.Open(filepath.Join(dir, "d"), wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, temp := range []string{"42", "1.5abc", "77"} {
+		if _, err := lg.Append(wal.EncodeRows([][]string{{"north", "m1", temp, "fail"}})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := lg.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	im, err := newIngestman(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer im.close()
+	sess := ingestTestSession(t)
+	rows := sess.NumRows()
+	if err := im.start("d", sess); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-im.pipe("d").workerDone:
+	case <-time.After(5 * time.Second):
+		t.Fatal("replay neither failed nor finished")
+	}
+	if !im.replaying("d") {
+		t.Error("dataset went live after a replay failure")
+	}
+	if got := sess.IngestSeq(); got != 1 {
+		t.Errorf("ingest seq = %d, want 1 (the record before the bad one)", got)
+	}
+	if got := sess.NumRows(); got != rows+1 {
+		t.Errorf("rows = %d, want %d", got, rows+1)
+	}
+	if _, err := im.append(context.Background(), "d", [][]string{{"east", "m2", "12", "ok"}}); err != server.ErrBackpressure {
+		t.Errorf("live append after a failed replay = %v, want backpressure", err)
+	}
 }

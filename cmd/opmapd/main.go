@@ -377,6 +377,7 @@ func loadSessions(ctx context.Context, cfg loadConfig) (map[string]*opmap.Sessio
 				hash = h
 			}
 			sess, err := openDataset(ctx, cfg, name, hash, func() (*opmap.Session, error) {
+				start := time.Now()
 				sess, err := opmap.LoadCSVFile(path, opmap.LoadOptions{
 					Class:          cfg.class,
 					MaxRows:        cfg.maxRows,
@@ -386,6 +387,8 @@ func loadSessions(ctx context.Context, cfg loadConfig) (map[string]*opmap.Sessio
 				if err != nil {
 					return nil, fmt.Errorf("dataset %q: %w", name, err)
 				}
+				log.Printf("dataset %q: loaded %d rows × %d attributes in %v",
+					name, sess.NumRows(), len(sess.Attributes()), time.Since(start).Round(time.Millisecond))
 				if err := sess.Discretize(opmap.DiscretizeOptions{}); err != nil {
 					return nil, fmt.Errorf("dataset %q: %w", name, err)
 				}

@@ -2,7 +2,6 @@ package dataset
 
 import (
 	"fmt"
-	"math"
 )
 
 // This file gives a built Dataset an append path for streaming
@@ -12,7 +11,7 @@ import (
 // AppendRow appends one row of textual values, one per attribute, with
 // exactly Builder.AddRow's semantics: "?" is a missing categorical
 // value or continuous NaN, unseen categorical labels register new
-// dictionary codes, continuous fields parse as numbers. The row is
+// dictionary codes, continuous fields parse with ParseValue. The row is
 // fully validated before anything mutates, so a malformed row leaves
 // the dataset untouched.
 func (ds *Dataset) AppendRow(values []string) error {
@@ -25,14 +24,11 @@ func (ds *Dataset) AppendRow(values []string) error {
 		if ds.cols[i].Kind != Continuous {
 			continue
 		}
-		v := values[i]
-		if v == MissingLabel || v == "" {
-			floats[i] = math.NaN()
-			continue
+		f, err := ParseValue(values[i])
+		if err != nil {
+			return fmt.Errorf("dataset: attribute %q: cannot parse %q as number: %v", ds.schema.Attrs[i].Name, values[i], err)
 		}
-		if _, err := fmt.Sscanf(v, "%g", &floats[i]); err != nil {
-			return fmt.Errorf("dataset: attribute %q: cannot parse %q as number: %v", ds.schema.Attrs[i].Name, v, err)
-		}
+		floats[i] = f
 	}
 	ds.appendParsed(values, floats)
 	return nil

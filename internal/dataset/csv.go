@@ -4,7 +4,9 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -39,7 +41,16 @@ type CSVOptions struct {
 	MaxRecordBytes int
 }
 
-// ReadCSV parses a header-bearing CSV stream into a Dataset.
+// ReadCSV parses a header-bearing CSV stream into a Dataset in one
+// pass: each field is trimmed and encoded into its column as the record
+// is read, so no row is ever held as strings. Categorical columns (the
+// class and declared ones) intern their labels in the column's
+// dictionary; declared-continuous columns parse each field with
+// ParseValue. An undeclared column is sniffed as it streams, with the
+// rule CSVOptions.Kinds states (see sniffState): it is encoded as
+// categorical, turns continuous once it has more than
+// MaxSniffCardinality distinct labels that are all numbers, and turns
+// back to categorical for good at the first label that is not a number.
 func ReadCSV(r io.Reader, opts CSVOptions) (*Dataset, error) {
 	cr := csv.NewReader(r)
 	if opts.Comma != 0 {
@@ -61,73 +72,197 @@ func ReadCSV(r io.Reader, opts CSVOptions) (*Dataset, error) {
 		names[i] = strings.TrimSpace(h)
 	}
 
-	var rows [][]string
+	classIdx := len(names) - 1
+	if opts.ClassAttr != "" {
+		if classIdx = slices.Index(names, opts.ClassAttr); classIdx < 0 {
+			return nil, fmt.Errorf("dataset: class attribute %q not found in CSV header", opts.ClassAttr)
+		}
+	}
+	maxCard := opts.MaxSniffCardinality
+	if maxCard == 0 {
+		maxCard = 32
+	}
+
+	// Undeclared columns start out categorical; validation needs only
+	// the names and the class.
+	schema := Schema{Attrs: make([]Attribute, len(names)), ClassIndex: classIdx}
+	sniff := make([]sniffState, len(names))
+	for i, n := range names {
+		kind, declared := opts.Kinds[n]
+		if i == classIdx {
+			kind, declared = Categorical, true
+		}
+		schema.Attrs[i] = Attribute{Name: n, Kind: kind}
+		sniff[i].numeric = !declared
+	}
+	b, err := NewBuilder(schema)
+	if err != nil {
+		return nil, err
+	}
+	cols := b.cols
+	for i := range cols {
+		sniff[i].promote(&cols[i], maxCard)
+	}
+
+	rows := 0
 	for {
 		rec, err := cr.Read()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			return nil, fmt.Errorf("dataset: reading CSV row %d: %w", len(rows)+2, err)
+			return nil, fmt.Errorf("dataset: reading CSV row %d: %w", rows+2, err)
 		}
-		if opts.MaxRows > 0 && len(rows) >= opts.MaxRows {
+		if opts.MaxRows > 0 && rows >= opts.MaxRows {
 			return nil, fmt.Errorf("dataset: CSV exceeds %d data rows", opts.MaxRows)
 		}
-		if err := checkRecordBytes(rec, len(rows)+2, opts.MaxRecordBytes); err != nil {
+		if err := checkRecordBytes(rec, rows+2, opts.MaxRecordBytes); err != nil {
 			return nil, err
 		}
-		row := make([]string, len(rec))
-		for i, v := range rec {
-			row[i] = strings.TrimSpace(v)
+		if len(rec) != len(names) {
+			return nil, fmt.Errorf("dataset: CSV row %d has %d fields, header has %d", rows+2, len(rec), len(names))
 		}
-		if len(row) != len(names) {
-			return nil, fmt.Errorf("dataset: CSV row %d has %d fields, header has %d", len(rows)+2, len(row), len(names))
-		}
-		rows = append(rows, row)
-	}
-
-	classIdx := len(names) - 1
-	if opts.ClassAttr != "" {
-		classIdx = -1
-		for i, n := range names {
-			if n == opts.ClassAttr {
-				classIdx = i
-				break
+		for i, f := range rec {
+			v := strings.TrimSpace(f)
+			c, s := &cols[i], &sniff[i]
+			if c.Kind == Continuous {
+				x, err := ParseValue(v)
+				if err == nil {
+					c.Values = append(c.Values, x)
+					if s.numeric {
+						s.note(rows, v, x)
+					}
+					continue
+				}
+				if !s.numeric {
+					return nil, fmt.Errorf("dataset: attribute %q: cannot parse %q as number: %v", names[i], v, err)
+				}
+				s.demote(c)
+			}
+			if v == MissingLabel {
+				c.Codes = append(c.Codes, Missing)
+				continue
+			}
+			code, ok := c.Dict.codes[v]
+			if ok {
+				c.Codes = append(c.Codes, code)
+				continue
+			}
+			// The field aliases the reader's record buffer; the
+			// dictionary must not pin it.
+			c.Codes = append(c.Codes, c.Dict.Code(strings.Clone(v)))
+			if s.numeric {
+				if x, err := ParseValue(v); err != nil {
+					s.numeric, s.nums = false, nil
+				} else {
+					s.nums = append(s.nums, x)
+					s.promote(c, maxCard)
+				}
 			}
 		}
-		if classIdx < 0 {
-			return nil, fmt.Errorf("dataset: class attribute %q not found in CSV header", opts.ClassAttr)
-		}
+		rows++
 	}
+	for i := range cols {
+		b.schema.Attrs[i].Kind = cols[i].Kind
+	}
+	return &Dataset{schema: b.schema, cols: cols, rows: rows}, nil
+}
 
-	maxCard := opts.MaxSniffCardinality
-	if maxCard == 0 {
-		maxCard = 32
-	}
-	attrs := make([]Attribute, len(names))
-	for i, n := range names {
-		kind := Categorical
-		if k, ok := opts.Kinds[n]; ok {
-			kind = k
-		} else if i != classIdx {
-			kind = sniffKind(rows, i, maxCard)
-		}
-		if i == classIdx {
-			kind = Categorical
-		}
-		attrs[i] = Attribute{Name: n, Kind: kind}
-	}
+// sniffState follows one undeclared column through ReadCSV. numeric
+// says every label so far is a number. While the column is categorical
+// and numeric, nums holds each label's value by code; promote turns it
+// continuous once it has more than maxCard such labels ("" and "?"
+// aside), which is when the sniffing rule would call it continuous if
+// the file ended there. A continuous column keeps its values and, in
+// odd, only the labels its values do not spell back (padding, "1.50",
+// "", "?"...); demote rebuilds the categorical column from those two
+// when a label that is not a number arrives. The dictionary and codes
+// are then exactly what encoding the labels one by one would have
+// produced, and a continuous column costs its values plus its odd
+// labels instead of one copy of each distinct label.
+type sniffState struct {
+	numeric bool
+	nums    []float64
+	odd     []oddLabel
+	oddText []byte // the odd labels, concatenated
+	buf     []byte // scratch for spelling values
+}
 
-	b, err := NewBuilder(Schema{Attrs: attrs, ClassIndex: classIdx})
-	if err != nil {
-		return nil, err
+// oddLabel is a row of a continuous column whose label its value does
+// not spell back; end is the label's end offset in oddText.
+type oddLabel struct{ row, end int }
+
+// spell returns value x as the label that reads back as x.
+func (s *sniffState) spell(x float64) []byte {
+	s.buf = strconv.AppendFloat(s.buf[:0], x, 'g', -1, 64)
+	return s.buf
+}
+
+// note records row's label v, whose value is x, in a continuous column
+// that is still numeric.
+func (s *sniffState) note(row int, v string, x float64) {
+	if string(s.spell(x)) != v {
+		s.oddText = append(s.oddText, v...)
+		s.odd = append(s.odd, oddLabel{row, len(s.oddText)})
 	}
-	for _, row := range rows {
-		if err := b.AddRow(row); err != nil {
-			return nil, err
+}
+
+// promote turns categorical column c continuous if it is numeric with
+// more than maxCard distinct labels.
+func (s *sniffState) promote(c *Column, maxCard int) {
+	if !s.numeric || c.Kind != Categorical || sniffedCardinality(c.Dict) <= maxCard {
+		return
+	}
+	values := make([]float64, len(c.Codes))
+	for r, code := range c.Codes {
+		label, x := MissingLabel, math.NaN()
+		if code != Missing {
+			label, x = c.Dict.Label(code), s.nums[code]
 		}
+		values[r] = x
+		s.note(r, label, x)
 	}
-	return b.Build()
+	*c = Column{Kind: Continuous, Values: values}
+	s.nums = nil
+}
+
+// demote turns continuous column c back into the categorical column
+// its labels make, for good.
+func (s *sniffState) demote(c *Column) {
+	dict := NewDictionary()
+	codes := make([]int32, len(c.Values))
+	k, start := 0, 0
+	for r, x := range c.Values {
+		var label []byte
+		if k < len(s.odd) && s.odd[k].row == r {
+			label, start = s.oddText[start:s.odd[k].end], s.odd[k].end
+			k++
+		} else {
+			label = s.spell(x)
+		}
+		code, ok := dict.codes[string(label)]
+		switch {
+		case ok:
+		case string(label) == MissingLabel:
+			code = Missing
+		default:
+			code = dict.Code(string(label))
+		}
+		codes[r] = code
+	}
+	*c = Column{Kind: Categorical, Dict: dict, Codes: codes}
+	s.numeric, s.odd, s.oddText = false, nil, nil
+}
+
+// sniffedCardinality counts the labels the sniffing rule weighs: every
+// distinct label but the empty one (MissingLabel never enters a
+// dictionary).
+func sniffedCardinality(d *Dictionary) int {
+	n := d.Len()
+	if _, ok := d.codes[""]; ok {
+		n--
+	}
+	return n
 }
 
 // checkRecordBytes enforces MaxRecordBytes on one record; line is the
@@ -154,32 +289,6 @@ func ReadCSVFile(path string, opts CSVOptions) (*Dataset, error) {
 	}
 	defer f.Close()
 	return ReadCSV(f, opts)
-}
-
-func sniffKind(rows [][]string, col, maxCard int) Kind {
-	distinct := make(map[string]struct{})
-	numeric := true
-	for _, row := range rows {
-		v := row[col]
-		if v == MissingLabel || v == "" {
-			continue
-		}
-		if numeric {
-			if _, err := strconv.ParseFloat(v, 64); err != nil {
-				numeric = false
-			}
-		}
-		if len(distinct) <= maxCard {
-			distinct[v] = struct{}{}
-		}
-		if !numeric && len(distinct) > maxCard {
-			break
-		}
-	}
-	if numeric && len(distinct) > maxCard {
-		return Continuous
-	}
-	return Categorical
 }
 
 // WriteCSV writes the dataset with a header row. Missing values are

@@ -11,6 +11,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
+	"strings"
 )
 
 // Kind classifies an attribute as categorical or continuous.
@@ -43,6 +45,20 @@ const Missing int32 = -1
 // MissingLabel is the textual representation of a missing value in CSV
 // input and output.
 const MissingLabel = "?"
+
+// ParseValue parses one continuous field. Surrounding space is ignored;
+// MissingLabel and the empty string are a missing value (NaN); anything
+// else must be a number in strconv.ParseFloat's syntax in its entirety,
+// so text after the number ("1.5abc", "1.5 2") is an error rather than
+// silently dropped. Every path that turns text into a continuous value
+// — CSV and ARFF loading, AppendRow and session ingest — parses here.
+func ParseValue(s string) (float64, error) {
+	s = strings.TrimSpace(s)
+	if s == MissingLabel || s == "" {
+		return math.NaN(), nil
+	}
+	return strconv.ParseFloat(s, 64)
+}
 
 // Attribute describes one column of a dataset.
 type Attribute struct {
@@ -439,7 +455,8 @@ func (b *Builder) WithDict(attr int, dict *Dictionary) *Builder {
 }
 
 // AddRow appends a row of textual values, one per attribute. Missing
-// values are written as MissingLabel ("?").
+// values are written as MissingLabel ("?"); continuous fields parse
+// with ParseValue.
 func (b *Builder) AddRow(values []string) error {
 	if b.err != nil {
 		return b.err
@@ -459,12 +476,8 @@ func (b *Builder) AddRow(values []string) error {
 			}
 			continue
 		}
-		if v == MissingLabel || v == "" {
-			c.Values = append(c.Values, math.NaN())
-			continue
-		}
-		var f float64
-		if _, err := fmt.Sscanf(v, "%g", &f); err != nil {
+		f, err := ParseValue(v)
+		if err != nil {
 			b.err = fmt.Errorf("dataset: attribute %q: cannot parse %q as number: %v", b.schema.Attrs[i].Name, v, err)
 			return b.err
 		}

@@ -5,17 +5,35 @@ import (
 	"testing"
 )
 
-// FuzzReadCSV hardens the loader: arbitrary text must either parse into
-// a queryable dataset or fail with an error — never panic.
+// FuzzReadCSV hardens the loader and checks it against the two-pass
+// reference: arbitrary text must either parse into a queryable dataset
+// or fail with an error — never panic — and ReadCSV must agree with
+// readCSVReference on which, and on every column when both load. The
+// option bits let the fuzzer reach declared kinds, a class override, a
+// custom separator and small sniffing thresholds.
 func FuzzReadCSV(f *testing.F) {
-	f.Add("a,b,class\nx,1.5,yes\ny,2.5,no\n")
-	f.Add("class\nyes\n")
-	f.Add("")
-	f.Add("a,b\n\"unterminated")
-	f.Add("a,b,class\n?,?,?\n")
-	f.Add("a,a,class\nx,y,z\n") // duplicate attribute names
-	f.Fuzz(func(t *testing.T, input string) {
-		ds, err := ReadCSV(strings.NewReader(input), CSVOptions{})
+	f.Add("a,b,class\nx,1.5,yes\ny,2.5,no\n", uint8(0), uint8(0))
+	f.Add("class\nyes\n", uint8(0), uint8(0))
+	f.Add("", uint8(0), uint8(0))
+	f.Add("a,b\n\"unterminated", uint8(0), uint8(0))
+	f.Add("a,b,class\n?,?,?\n", uint8(0), uint8(0))
+	f.Add("a,a,class\nx,y,z\n", uint8(0), uint8(0)) // duplicate attribute names
+	f.Add("a,b,class\n1,x,p\n2,,q\n3,?,p\n 4 ,y,q\n", uint8(2), uint8(0))
+	f.Add("a,b,class\n1.5abc,2,p\n", uint8(0), uint8(1))
+	f.Add("class;a;b\np;\"x;y\";1\nq;z;2\n", uint8(1), uint8(2|4))
+	f.Add("a,class\n1,p\n1.0,p\n?,q\n2,p\n,q\n3,p\n007,p\nx,q\n2,p\n", uint8(2), uint8(0))
+	f.Fuzz(func(t *testing.T, input string, maxCard, flags uint8) {
+		opts := CSVOptions{MaxSniffCardinality: int(maxCard % 8)}
+		if flags&1 != 0 {
+			opts.Kinds = map[string]Kind{"a": Continuous, "b": Categorical}
+		}
+		if flags&2 != 0 {
+			opts.ClassAttr = "class"
+		}
+		if flags&4 != 0 {
+			opts.Comma = ';'
+		}
+		ds, err, _ := compareWithReference(t, input, opts)
 		if err != nil {
 			return
 		}

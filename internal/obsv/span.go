@@ -31,6 +31,9 @@ const (
 
 // Pipeline stage names, one per instrumented entry point.
 const (
+	// StageLoad spans reading a dataset from its source file or
+	// stream (CSV or ARFF), before discretization and cube building.
+	StageLoad             = "load"
 	StageBuildCubes       = "build_cubes"
 	StageCompare          = "compare"
 	StageCompareOneVsRest = "compare_one_vs_rest"
@@ -50,6 +53,7 @@ const (
 // pre-registers a histogram per stage so /metrics shows the full set
 // even before a stage has run.
 var PipelineStages = []string{
+	StageLoad,
 	StageBuildCubes,
 	StageCompare,
 	StageCompareOneVsRest,

@@ -104,6 +104,7 @@ func (o LoadOptions) csvOptions() dataset.CSVOptions {
 
 // LoadCSV builds a session from a header-bearing CSV stream.
 func LoadCSV(r io.Reader, opts LoadOptions) (*Session, error) {
+	defer obsv.Stage(obsv.StageLoad)()
 	ds, err := dataset.ReadCSV(r, opts.csvOptions())
 	if err != nil {
 		return nil, err
@@ -113,6 +114,7 @@ func LoadCSV(r io.Reader, opts LoadOptions) (*Session, error) {
 
 // LoadCSVFile builds a session from a CSV file.
 func LoadCSVFile(path string, opts LoadOptions) (*Session, error) {
+	defer obsv.Stage(obsv.StageLoad)()
 	ds, err := dataset.ReadCSVFile(path, opts.csvOptions())
 	if err != nil {
 		return nil, err
@@ -123,6 +125,7 @@ func LoadCSVFile(path string, opts LoadOptions) (*Session, error) {
 // LoadARFF builds a session from a Weka ARFF stream (nominal and
 // numeric attributes; the class defaults to the last attribute).
 func LoadARFF(r io.Reader, classAttr string) (*Session, error) {
+	defer obsv.Stage(obsv.StageLoad)()
 	ds, err := dataset.ReadARFF(r, classAttr)
 	if err != nil {
 		return nil, err
@@ -132,6 +135,7 @@ func LoadARFF(r io.Reader, classAttr string) (*Session, error) {
 
 // LoadARFFFile builds a session from an ARFF file.
 func LoadARFFFile(path, classAttr string) (*Session, error) {
+	defer obsv.Stage(obsv.StageLoad)()
 	ds, err := dataset.ReadARFFFile(path, classAttr)
 	if err != nil {
 		return nil, err

@@ -92,7 +92,15 @@ func (s *Session) buildSnapshot(opts SnapshotOptions) (*snapshot.Snapshot, error
 	case s.lazy != nil:
 		snap.Mode = snapshot.ModeLazy
 		snap.CacheBytes = s.lazy.Budget()
-		store, err := rulecube.AssembleStore(s.ds, s.lazy.Attrs(), s.lazy.ResidentCubes())
+		// The snapshot format holds 1-D and pair cubes; drilled k ≥ 3
+		// cubes are left out and recount on demand after a seed.
+		var cubes []*rulecube.Cube
+		for _, c := range s.lazy.ResidentCubes() {
+			if c.NumDims() <= 2 {
+				cubes = append(cubes, c)
+			}
+		}
+		store, err := rulecube.AssembleStore(s.ds, s.lazy.Attrs(), cubes)
 		if err != nil {
 			return nil, fmt.Errorf("opmap: snapshotting lazy engine: %w", err)
 		}

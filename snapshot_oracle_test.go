@@ -266,3 +266,46 @@ func TestSnapshotRequiresEngine(t *testing.T) {
 		t.Error("SaveSnapshot before BuildCubes succeeded")
 	}
 }
+
+// TestSnapshotLazyAfterDrill: a lazy session whose cache holds the k ≥ 3
+// cubes of a depth-2 drill-down still snapshots (only its 1-D and pair
+// cubes are persisted), and a lazy session seeded from that snapshot
+// answers Compare and DrillDown exactly as the original does.
+func TestSnapshotLazyAfterDrill(t *testing.T) {
+	first, gt := drillSession(t, true)
+	opts := DrillOptions{MaxDepth: 2}
+	wantDrill, err := first.DrillDown(gt.PhoneAttr, gt.GoodPhone, gt.BadPhone, gt.DropClass, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(wantDrill.Findings) == 0 || wantDrill.Findings[0].Depth != 2 {
+		t.Fatalf("drill-down reached no depth-2 finding: %+v", wantDrill.Findings)
+	}
+	wantCmp, err := first.Compare(gt.PhoneAttr, gt.GoodPhone, gt.BadPhone, gt.DropClass, CompareOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := t.TempDir() + "/drilled.omapsnap"
+	if err := first.SaveSnapshotFile(path, SnapshotOptions{}); err != nil {
+		t.Fatalf("snapshot after a depth-2 drill: %v", err)
+	}
+
+	second, _ := drillSession(t, true)
+	if n, err := second.SeedSnapshotFile(path); err != nil || n == 0 {
+		t.Fatalf("seeding from the drilled snapshot: %d cubes, %v", n, err)
+	}
+	gotCmp, err := second.Compare(gt.PhoneAttr, gt.GoodPhone, gt.BadPhone, gt.DropClass, CompareOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(wantCmp.Ranked(), gotCmp.Ranked()) || wantCmp.Ratio != gotCmp.Ratio {
+		t.Error("seeded session's comparison differs from the original")
+	}
+	gotDrill, err := second.DrillDown(gt.PhoneAttr, gt.GoodPhone, gt.BadPhone, gt.DropClass, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(wantDrill.Findings, gotDrill.Findings) || !reflect.DeepEqual(wantDrill.Root.Ranked(), gotDrill.Root.Ranked()) {
+		t.Error("seeded session's drill-down differs from the original")
+	}
+}
