@@ -279,6 +279,20 @@ for want in \
         exit 1
     fi
 done
+# The warm-started session's counts come from the snapshot, not from
+# rows it holds, so it cannot count a depth-2 drill's 3-D cubes (this
+# drill expands to depth 2 on a cold daemon over the same data). The
+# answer must say so — labelled partial, or the rows-not-held error —
+# and never pass off the depth-1 findings as a complete answer.
+"$smokedir/opmapd" -probe "$addr4/api/drilldown" \
+    -probe-body '{"attr":"Time-of-Call","v1":"morning","v2":"evening","class":"dropped-in-progress","max_depth":2}' \
+    >"$smokedir/drill.warm" 2>&1 || true
+if ! grep -qF '"partial": true' "$smokedir/drill.warm" &&
+    ! grep -qF 'rows the dataset does not hold' "$smokedir/drill.warm"; then
+    echo "depth-2 drill on the warm-started daemon was not labelled partial:" >&2
+    cat "$smokedir/drill.warm" >&2
+    exit 1
+fi
 kill -TERM "$opmapd4_pid"
 if ! wait "$opmapd4_pid"; then
     echo "warm opmapd did not drain cleanly on SIGTERM:" >&2
@@ -661,21 +675,23 @@ echo "== bench (stage timings + engine modes + snapshot + ingest + batch + shard
 # (end_to_end_2_shards_ms) appears in BENCH_pr9.json, so comparing
 # against pr9 arms that gate for the first time this PR. The drilldown
 # section is new in pr10; its numbers become comparable from pr11 on.
+# The run's artifact goes to the scratch directory: the committed
+# BENCH_pr10.json is a past record and stays as it is.
 go run ./cmd/opmapbench -records 20000 -rounds 50 \
-    -out BENCH_pr10.json -prev BENCH_pr9.json
-grep -q '"build_cubes"' BENCH_pr10.json
-grep -q '"drilldown"' BENCH_pr10.json
-grep -q '"lazy_cold_compare_ms"' BENCH_pr10.json
-grep -q '"load_speedup_vs_build"' BENCH_pr10.json
-grep -q '"rows_per_sec"' BENCH_pr10.json
-grep -q '"append_p90_ms"' BENCH_pr10.json
-grep -q '"replay_ms_per_1m_records"' BENCH_pr10.json
-grep -q '"batch_scans": 1,' BENCH_pr10.json
-grep -q '"scan_reduction"' BENCH_pr10.json
-grep -q '"speedup_vs_per_pair"' BENCH_pr10.json
-grep -q '"max_shard_build_ms"' BENCH_pr10.json
-grep -q '"single_pass_ms"' BENCH_pr10.json
-grep -q '"shards": 8' BENCH_pr10.json
-grep -q '"recovered_planted_pair": true' BENCH_pr10.json
+    -out "$smokedir/BENCH_pr10.json" -prev BENCH_pr9.json
+grep -q '"build_cubes"' "$smokedir/BENCH_pr10.json"
+grep -q '"drilldown"' "$smokedir/BENCH_pr10.json"
+grep -q '"lazy_cold_compare_ms"' "$smokedir/BENCH_pr10.json"
+grep -q '"load_speedup_vs_build"' "$smokedir/BENCH_pr10.json"
+grep -q '"rows_per_sec"' "$smokedir/BENCH_pr10.json"
+grep -q '"append_p90_ms"' "$smokedir/BENCH_pr10.json"
+grep -q '"replay_ms_per_1m_records"' "$smokedir/BENCH_pr10.json"
+grep -q '"batch_scans": 1,' "$smokedir/BENCH_pr10.json"
+grep -q '"scan_reduction"' "$smokedir/BENCH_pr10.json"
+grep -q '"speedup_vs_per_pair"' "$smokedir/BENCH_pr10.json"
+grep -q '"max_shard_build_ms"' "$smokedir/BENCH_pr10.json"
+grep -q '"single_pass_ms"' "$smokedir/BENCH_pr10.json"
+grep -q '"shards": 8' "$smokedir/BENCH_pr10.json"
+grep -q '"recovered_planted_pair": true' "$smokedir/BENCH_pr10.json"
 
 echo "CI PASSED"

@@ -268,6 +268,7 @@ func toScore(s compare.AttrScore) AttributeScore {
 		NormScore:     s.NormScore,
 		Property:      s.Property,
 		PropertyRatio: s.PropertyRatio,
+		Values:        make([]ValueBreakdown, 0, len(s.Values)),
 	}
 	for _, d := range s.Values {
 		out.Values = append(out.Values, ValueBreakdown{
@@ -282,8 +283,9 @@ func toScore(s compare.AttrScore) AttributeScore {
 
 // Top returns the n highest-ranked non-property attributes.
 func (c *Comparison) Top(n int) []AttributeScore {
-	var out []AttributeScore
-	for _, s := range c.res.Top(n) {
+	top := c.res.Top(n)
+	out := make([]AttributeScore, 0, len(top))
+	for _, s := range top {
 		out = append(out, toScore(s))
 	}
 	return out

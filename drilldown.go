@@ -98,8 +98,9 @@ type DrillResult struct {
 	Expanded int `json:"expanded"`
 
 	// Partial is set when the search stopped early (context expiry
-	// with PartialOnDeadline, or the node budget); Unexplored lists
-	// what was not searched.
+	// with PartialOnDeadline, the node budget, or a session restored
+	// from a snapshot or cube file, whose drill ends at depth 1);
+	// Unexplored lists what was not searched.
 	Partial    bool        `json:"partial"`
 	Unexplored []ItemError `json:"unexplored,omitempty"`
 

@@ -1,8 +1,15 @@
 package opmap
 
 import (
+	"bytes"
 	"context"
+	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
+
+	"opmap/internal/dataset"
+	"opmap/internal/stats"
 )
 
 // drillSession builds the drill-case session with the chosen engine.
@@ -150,5 +157,128 @@ func TestDrillDownInvalidatedByIngest(t *testing.T) {
 	}
 	if st.ResultCacheMisses <= misses0 {
 		t.Fatalf("post-ingest drill-down did not recompute (misses %d -> %d)", misses0, st.ResultCacheMisses)
+	}
+}
+
+// TestDrillDownRestoredStopsAtDepthOne drills sessions restored from a
+// snapshot, from shard snapshots and from a persisted cube file. Their
+// counts cover rows they do not hold, so a depth-2 cube cannot be
+// counted: the drill must stop at depth 1, labelled partial with the
+// cut branches listed, and its depth-1 findings must be the fresh
+// session's. Counting the depth-2 cubes over the rows at hand (none)
+// would pass the depth-1 findings off as a complete answer.
+func TestDrillDownRestoredStopsAtDepthOne(t *testing.T) {
+	fresh, gt := drillSession(t, false)
+	want, err := fresh.DrillDown(gt.PhoneAttr, gt.GoodPhone, gt.BadPhone, gt.DropClass, DrillOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Partial || len(want.Findings) == 0 || want.Findings[0].Depth != 2 {
+		t.Fatalf("fresh drill: partial=%t, %d findings; want a complete drill topped by the depth-2 pair", want.Partial, len(want.Findings))
+	}
+	var depth1 []DrillFinding
+	for _, f := range want.Findings {
+		if f.Depth == 1 {
+			depth1 = append(depth1, f)
+		}
+	}
+
+	dir := t.TempDir()
+	snapPath := filepath.Join(dir, "drill.omapsnap")
+	if err := fresh.SaveSnapshotFile(snapPath, SnapshotOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	var cubes bytes.Buffer
+	if err := fresh.SaveCubes(&cubes); err != nil {
+		t.Fatal(err)
+	}
+	origins := map[string]func() (*Session, error){
+		"snapshot":        func() (*Session, error) { return LoadSnapshotFile(snapPath) },
+		"shard snapshots": func() (*Session, error) { return LoadShardSnapshots(snapPath) },
+		"cube file":       func() (*Session, error) { return OpenCubes(bytes.NewReader(cubes.Bytes())) },
+	}
+	for name, open := range origins {
+		t.Run(name, func(t *testing.T) {
+			s, err := open()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := s.DrillDown(gt.PhoneAttr, gt.GoodPhone, gt.BadPhone, gt.DropClass, DrillOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !got.Partial || len(got.Unexplored) == 0 {
+				t.Fatalf("partial=%t with %d unexplored branches; want a partial answer listing the cut depth-2 branches", got.Partial, len(got.Unexplored))
+			}
+			for _, u := range got.Unexplored {
+				if !strings.Contains(u.Err, "rows the dataset does not hold") {
+					t.Fatalf("unexplored %s: %q, want the rows-not-held error", u.Item, u.Err)
+				}
+			}
+			if !reflect.DeepEqual(got.Findings, depth1) {
+				t.Fatalf("findings %+v, want the fresh session's depth-1 findings %+v", got.Findings, depth1)
+			}
+		})
+	}
+}
+
+// TestDrillDownAfterMergeFrom drills shard A, merges shard B into it
+// and drills again: the merged session must answer as one session
+// over A's and B's rows. The k ≥ 3 cubes the first drill left resident
+// counted A's rows only and must not serve the second.
+func TestDrillDownAfterMergeFrom(t *testing.T) {
+	src, gt, err := GenerateDrillCase(7, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := src.ds.NumRows()
+	load := func(lo, hi int) *Session {
+		t.Helper()
+		idx := make([]int, 0, hi-lo)
+		for r := lo; r < hi; r++ {
+			idx = append(idx, r)
+		}
+		var buf bytes.Buffer
+		if err := dataset.WriteCSV(&buf, src.ds.Gather(idx)); err != nil {
+			t.Fatal(err)
+		}
+		s, err := LoadCSV(&buf, LoadOptions{Class: src.ds.Attr(src.ds.ClassIndex()).Name})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.BuildCubes(); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	drill := func(s *Session) float64 {
+		t.Helper()
+		res, err := s.DrillDown(gt.PhoneAttr, gt.GoodPhone, gt.BadPhone, gt.DropClass, DrillOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range res.Findings {
+			if f.Depth != 2 {
+				continue
+			}
+			got := map[string]string{}
+			for _, c := range f.Conds {
+				got[c.Attr] = c.Value
+			}
+			if got[gt.JointAttrA] == gt.JointValueA && got[gt.JointAttrB] == gt.JointValueB {
+				return f.Raw
+			}
+		}
+		t.Fatalf("planted pair %s=%s & %s=%s not found", gt.JointAttrA, gt.JointValueA, gt.JointAttrB, gt.JointValueB)
+		return 0
+	}
+	want := drill(load(0, rows))
+	a, b := load(0, rows/2), load(rows/2, rows)
+	drill(a)
+	if err := a.MergeFrom(b); err != nil {
+		t.Fatal(err)
+	}
+	if got := drill(a); !stats.ApproxEqual(got, want) {
+		t.Fatalf("merged planted-pair raw score %.4f, want the single pass's %.4f", got, want)
 	}
 }

@@ -328,7 +328,7 @@ func sessionFromStore(store *rulecube.Store) *Session {
 		raw:     store.Dataset(),
 		ds:      store.Dataset(),
 		store:   store,
-		src:     engine.NewEager(store),
+		src:     engine.NewRestoredEager(store),
 		results: engine.NewResultCache(0),
 	}
 }

@@ -531,7 +531,7 @@ func scoreAttribute(ds *dataset.Dataset, attr int, tab valueTable, comp *computa
 		}
 	}
 
-	score := AttrScore{Attr: attr, Name: ds.Attr(attr).Name}
+	score := AttrScore{Attr: attr, Name: ds.Attr(attr).Name, Values: make([]ValueDetail, 0, len(tab.n1))}
 	var p, t int
 	var m float64
 	for k := range tab.n1 {
@@ -612,22 +612,23 @@ func Scan(ds *dataset.Dataset, in Input, opts Options) (*Result, error) {
 	}
 	// Mirror the cube path's population exactly: records where the
 	// comparison attribute and the class are both present.
-	col := ds.Column(in.Attr).Codes
-	cls := ds.Column(ds.ClassIndex()).Codes
+	col := ds.Column(in.Attr)
+	cls := ds.Column(ds.ClassIndex())
+	rows := ds.NumRows()
 	var total int64
-	for r := range col {
-		if col[r] >= 0 && cls[r] >= 0 {
+	for r := 0; r < rows; r++ {
+		if col.Code(r) >= 0 && cls.Code(r) >= 0 {
 			total++
 		}
 	}
 	res, err := orient(ds, in, opts, total, func(value, class int32) (int64, int64, error) {
 		var cond, sup int64
-		for r := range col {
-			if col[r] != value {
+		for r := 0; r < rows; r++ {
+			if col.Code(r) != value {
 				continue
 			}
 			cond++
-			if cls[r] == class {
+			if cls.Code(r) == class {
 				sup++
 			}
 		}
@@ -641,14 +642,14 @@ func Scan(ds *dataset.Dataset, in Input, opts Options) (*Result, error) {
 	for _, ai := range attrs {
 		card := ds.Cardinality(ai)
 		tab := newValueTable(card)
-		aiCol := ds.Column(ai).Codes
-		for r := range col {
-			v := aiCol[r]
+		aiCol := ds.Column(ai)
+		for r := 0; r < rows; r++ {
+			v := aiCol.Code(r)
 			if v < 0 {
 				continue
 			}
-			isClass := cls[r] == in.Class
-			switch col[r] {
+			isClass := cls.Code(r) == in.Class
+			switch col.Code(r) {
 			case res.v1:
 				tab.n1[v]++
 				if isClass {

@@ -65,9 +65,9 @@ func (ds *Dataset) appendParsed(values []string, floats []float64) {
 		c := &ds.cols[i]
 		if c.Kind == Categorical {
 			if values[i] == MissingLabel {
-				c.Codes = append(c.Codes, Missing)
+				c.appendCode(Missing)
 			} else {
-				c.Codes = append(c.Codes, c.Dict.Code(values[i]))
+				c.appendCode(c.Dict.Code(values[i]))
 			}
 			continue
 		}
@@ -101,7 +101,7 @@ func (ds *Dataset) AppendCodedRow(codes []int32, values []float64) error {
 	for i := range ds.cols {
 		c := &ds.cols[i]
 		if c.Kind == Categorical {
-			c.Codes = append(c.Codes, codes[i])
+			c.appendCode(codes[i])
 		} else {
 			c.Values = append(c.Values, values[i])
 		}

@@ -50,7 +50,7 @@ func WriteARFF(w io.Writer, ds *Dataset, relation string) error {
 				}
 				continue
 			}
-			code := col.Codes[r]
+			code := col.Code(r)
 			if code < 0 {
 				bw.WriteString(MissingLabel)
 			} else {

@@ -140,17 +140,17 @@ func ReadCSV(r io.Reader, opts CSVOptions) (*Dataset, error) {
 				s.demote(c)
 			}
 			if v == MissingLabel {
-				c.Codes = append(c.Codes, Missing)
+				c.appendCode(Missing)
 				continue
 			}
 			code, ok := c.Dict.codes[v]
 			if ok {
-				c.Codes = append(c.Codes, code)
+				c.appendCode(code)
 				continue
 			}
 			// The field aliases the reader's record buffer; the
 			// dictionary must not pin it.
-			c.Codes = append(c.Codes, c.Dict.Code(strings.Clone(v)))
+			c.appendCode(c.Dict.Code(strings.Clone(v)))
 			if s.numeric {
 				if x, err := ParseValue(v); err != nil {
 					s.numeric, s.nums = false, nil
@@ -213,8 +213,9 @@ func (s *sniffState) promote(c *Column, maxCard int) {
 	if !s.numeric || c.Kind != Categorical || sniffedCardinality(c.Dict) <= maxCard {
 		return
 	}
-	values := make([]float64, len(c.Codes))
-	for r, code := range c.Codes {
+	values := make([]float64, c.Len())
+	for r := range values {
+		code := c.Code(r)
 		label, x := MissingLabel, math.NaN()
 		if code != Missing {
 			label, x = c.Dict.Label(code), s.nums[code]
@@ -230,7 +231,7 @@ func (s *sniffState) promote(c *Column, maxCard int) {
 // its labels make, for good.
 func (s *sniffState) demote(c *Column) {
 	dict := NewDictionary()
-	codes := make([]int32, len(c.Values))
+	out := Column{Kind: Categorical, Dict: dict, narrow: make([]uint8, 0, len(c.Values))}
 	k, start := 0, 0
 	for r, x := range c.Values {
 		var label []byte
@@ -248,9 +249,9 @@ func (s *sniffState) demote(c *Column) {
 		default:
 			code = dict.Code(string(label))
 		}
-		codes[r] = code
+		out.appendCode(code)
 	}
-	*c = Column{Kind: Categorical, Dict: dict, Codes: codes}
+	*c = out
 	s.numeric, s.odd, s.oddText = false, nil, nil
 }
 

@@ -186,12 +186,12 @@ func datasetDiff(got, want *Dataset) string {
 				return fmt.Sprintf("column %d labels %q, want %q", a, gl, wl)
 			}
 		}
-		if len(gc.Codes) != len(wc.Codes) || len(gc.Values) != len(wc.Values) {
-			return fmt.Sprintf("column %d holds %d codes and %d values, want %d and %d", a, len(gc.Codes), len(gc.Values), len(wc.Codes), len(wc.Values))
+		if gc.Len() != wc.Len() || len(gc.Values) != len(wc.Values) {
+			return fmt.Sprintf("column %d holds %d rows and %d values, want %d and %d", a, gc.Len(), len(gc.Values), wc.Len(), len(wc.Values))
 		}
-		for r := range wc.Codes {
-			if gc.Codes[r] != wc.Codes[r] {
-				return fmt.Sprintf("column %d row %d code %d, want %d", a, r, gc.Codes[r], wc.Codes[r])
+		for r := 0; wc.Kind == Categorical && r < wc.Len(); r++ {
+			if gc.Code(r) != wc.Code(r) {
+				return fmt.Sprintf("column %d row %d code %d, want %d", a, r, gc.Code(r), wc.Code(r))
 			}
 		}
 		for r := range wc.Values {

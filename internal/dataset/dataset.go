@@ -1,10 +1,12 @@
 // Package dataset implements the columnar in-memory classification
 // dataset the Opportunity Map system operates on. Datasets are typical
 // supervised-learning tables (Section III.A of the paper): a set of
-// attributes, one of which is the categorical class attribute. Categorical
-// columns are dictionary-encoded as dense int32 codes; continuous columns
-// are stored as float64 and must be discretized (package discretize)
-// before rules or cubes can be built over them.
+// attributes, one of which is the categorical class attribute.
+// Categorical columns are dictionary-encoded: the API speaks dense int32
+// codes (Missing is -1), and a column stores each code shifted by one
+// and unsigned, one byte a cell while its codes fit (see Column).
+// Continuous columns are stored as float64 and must be discretized
+// (package discretize) before rules or cubes can be built over them.
 package dataset
 
 import (
@@ -178,21 +180,102 @@ func (d *Dictionary) Clone() *Dictionary {
 	return nd
 }
 
-// Column is the storage for one attribute. Exactly one of Codes/Values
-// is non-nil depending on the attribute kind.
+// Column is the storage for one attribute: Values for a continuous
+// attribute, Dict and the stored codes for a categorical one.
+//
+// A categorical column stores each code shifted by one and unsigned —
+// code+1, with 0 for Missing — so a stored code is the code's slot in
+// a cube accumulator whose slot 0 catches missing values. The column
+// holds one byte a cell while every code is below 255 (at most 255
+// labels in use) and widens, once and for good, to four bytes a cell
+// when an append brings code 255: the wide form holds every code an
+// int32 can, so no domain that loads is refused. Code reads a cell
+// back as an int32 code; the counting kernel reads the stored slice
+// itself (Stored).
 type Column struct {
 	Kind   Kind
-	Codes  []int32   // categorical codes, Missing for absent values
 	Values []float64 // continuous values, NaN for absent values
 	Dict   *Dictionary
+
+	narrow []uint8  // shifted codes while every code is below 255
+	wide   []uint32 // shifted codes once the column has widened; nil before
 }
+
+// maxNarrowCode is the largest code a narrow column holds: shifted, it
+// is the largest uint8.
+const maxNarrowCode = 254
 
 // Len returns the number of rows stored in the column.
 func (c *Column) Len() int {
-	if c.Kind == Categorical {
-		return len(c.Codes)
+	switch {
+	case c.Kind == Continuous:
+		return len(c.Values)
+	case c.wide != nil:
+		return len(c.wide)
 	}
-	return len(c.Values)
+	return len(c.narrow)
+}
+
+// Code returns the categorical code of row r (Missing when absent).
+func (c *Column) Code(r int) int32 {
+	if c.wide != nil {
+		return int32(c.wide[r] - 1)
+	}
+	return int32(c.narrow[r]) - 1
+}
+
+// Stored returns the column's shifted codes (code+1, 0 for Missing):
+// wide is non-nil once the column has widened, and narrow holds them
+// before that. The slices alias the column; callers must not modify
+// them, and an append may move or widen them, so a caller that keeps
+// them across appends must ask again.
+func (c *Column) Stored() (narrow []uint8, wide []uint32) {
+	return c.narrow, c.wide
+}
+
+// appendCode appends code (any negative code is Missing), widening the
+// column first when code is beyond the narrow form.
+func (c *Column) appendCode(code int32) {
+	var shifted uint32 // Missing
+	if code >= 0 {
+		shifted = uint32(code) + 1
+	}
+	if c.wide == nil && code <= maxNarrowCode {
+		c.narrow = append(c.narrow, uint8(shifted))
+		return
+	}
+	if c.wide == nil {
+		c.widen()
+	}
+	c.wide = append(c.wide, shifted)
+}
+
+// widen moves a narrow column to the wide form, keeping its capacity
+// plus room for the append that widened it.
+func (c *Column) widen() {
+	c.wide = make([]uint32, len(c.narrow), cap(c.narrow)+1)
+	for r, v := range c.narrow {
+		c.wide[r] = uint32(v)
+	}
+	c.narrow = nil
+}
+
+// gather returns a categorical column of c's rows at the given
+// indices, in c's form.
+func (c *Column) gather(rows []int) Column {
+	out := Column{Kind: c.Kind, Dict: c.Dict}
+	if c.wide != nil {
+		out.wide = make([]uint32, len(rows))
+		for j, r := range rows {
+			out.wide[j] = c.wide[r]
+		}
+		return out
+	}
+	out.narrow = make([]uint8, len(rows))
+	for j, r := range rows {
+		out.narrow[j] = c.narrow[r]
+	}
+	return out
 }
 
 // Dataset is a columnar table with a schema. All columns have the same
@@ -250,7 +333,7 @@ func (ds *Dataset) CatCode(row, attr int) int32 {
 	if c.Kind != Categorical {
 		panic(fmt.Sprintf("dataset: attribute %q is continuous; discretize before categorical access", ds.schema.Attrs[attr].Name))
 	}
-	return c.Codes[row]
+	return c.Code(row)
 }
 
 // ContValue returns the continuous value at (row, attr). It panics for
@@ -267,7 +350,7 @@ func (ds *Dataset) ContValue(row, attr int) float64 {
 func (ds *Dataset) Label(row, attr int) string {
 	c := &ds.cols[attr]
 	if c.Kind == Categorical {
-		return c.Dict.Label(c.Codes[row])
+		return c.Dict.Label(c.Code(row))
 	}
 	v := c.Values[row]
 	if math.IsNaN(v) {
@@ -278,7 +361,7 @@ func (ds *Dataset) Label(row, attr int) string {
 
 // ClassCode returns the class code of a row.
 func (ds *Dataset) ClassCode(row int) int32 {
-	return ds.cols[ds.schema.ClassIndex].Codes[row]
+	return ds.cols[ds.schema.ClassIndex].Code(row)
 }
 
 // AllCategorical reports whether every attribute is categorical (the
@@ -294,11 +377,15 @@ func (ds *Dataset) AllCategorical() bool {
 
 // ClassDistribution returns the count of each class code.
 func (ds *Dataset) ClassDistribution() []int64 {
-	counts := make([]int64, ds.NumClasses())
-	col := ds.cols[ds.schema.ClassIndex].Codes
-	for _, c := range col {
-		if c >= 0 && int(c) < len(counts) {
-			counts[c]++
+	return ds.cols[ds.schema.ClassIndex].counts(ds.NumClasses())
+}
+
+// counts tallies each code below n; Missing is not counted.
+func (c *Column) counts(n int) []int64 {
+	counts := make([]int64, n)
+	for r := 0; r < c.Len(); r++ {
+		if code := c.Code(r); code >= 0 && int(code) < n {
+			counts[code]++
 		}
 	}
 	return counts
@@ -311,13 +398,7 @@ func (ds *Dataset) ValueCounts(attr int) ([]int64, error) {
 	if c.Kind != Categorical {
 		return nil, fmt.Errorf("dataset: ValueCounts on continuous attribute %q", ds.schema.Attrs[attr].Name)
 	}
-	counts := make([]int64, c.Dict.Len())
-	for _, code := range c.Codes {
-		if code >= 0 && int(code) < len(counts) {
-			counts[code]++
-		}
-	}
-	return counts, nil
+	return c.counts(c.Dict.Len()), nil
 }
 
 // Filter returns a new dataset containing only the rows for which keep
@@ -341,19 +422,15 @@ func (ds *Dataset) Gather(rows []int) *Dataset {
 	out.cols = make([]Column, len(ds.cols))
 	for i := range ds.cols {
 		src := &ds.cols[i]
+		if src.Kind == Categorical {
+			out.cols[i] = src.gather(rows)
+			continue
+		}
 		dst := &out.cols[i]
 		dst.Kind = src.Kind
-		dst.Dict = src.Dict
-		if src.Kind == Categorical {
-			dst.Codes = make([]int32, len(rows))
-			for j, r := range rows {
-				dst.Codes[j] = src.Codes[r]
-			}
-		} else {
-			dst.Values = make([]float64, len(rows))
-			for j, r := range rows {
-				dst.Values[j] = src.Values[r]
-			}
+		dst.Values = make([]float64, len(rows))
+		for j, r := range rows {
+			dst.Values[j] = src.Values[r]
 		}
 	}
 	return out
@@ -470,9 +547,9 @@ func (b *Builder) AddRow(values []string) error {
 		v := values[i]
 		if c.Kind == Categorical {
 			if v == MissingLabel {
-				c.Codes = append(c.Codes, Missing)
+				c.appendCode(Missing)
 			} else {
-				c.Codes = append(c.Codes, c.Dict.Code(v))
+				c.appendCode(c.Dict.Code(v))
 			}
 			continue
 		}
@@ -502,7 +579,7 @@ func (b *Builder) AddCodedRow(codes []int32, values []float64) error {
 	for i := range b.cols {
 		c := &b.cols[i]
 		if c.Kind == Categorical {
-			c.Codes = append(c.Codes, codes[i])
+			c.appendCode(codes[i])
 		} else {
 			c.Values = append(c.Values, values[i])
 		}
@@ -519,8 +596,8 @@ func (b *Builder) Build() (*Dataset, error) {
 	for i := range b.cols {
 		c := &b.cols[i]
 		if c.Kind == Categorical {
-			for _, code := range c.Codes {
-				if code >= 0 && int(code) >= c.Dict.Len() {
+			for r := 0; r < c.Len(); r++ {
+				if code := c.Code(r); int(code) >= c.Dict.Len() {
 					return nil, fmt.Errorf("dataset: attribute %q has code %d beyond dictionary size %d", b.schema.Attrs[i].Name, code, c.Dict.Len())
 				}
 			}

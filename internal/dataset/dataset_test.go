@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -375,4 +376,116 @@ func TestKindString(t *testing.T) {
 	if Kind(7).String() == "" {
 		t.Error("unknown kind should still render")
 	}
+}
+
+// TestColumnWidensOnce: a categorical column holds one byte a row
+// while its codes stay below 255 — 255 labels plus missing values —
+// and widens exactly once, at the append that brings the 256th label,
+// keeping every stored code; a sibling column stays narrow. Builder
+// rows, appended rows and AppendRemapped (whose union registers the
+// labels) all store through the same rule.
+func TestColumnWidensOnce(t *testing.T) {
+	schema := Schema{ClassIndex: 2, Attrs: []Attribute{
+		{Name: "label", Kind: Categorical},
+		{Name: "other", Kind: Categorical},
+		{Name: "class", Kind: Categorical},
+	}}
+	row := func(i int) []string {
+		label := fmt.Sprintf("l%d", i)
+		if i%17 == 3 {
+			label = MissingLabel
+		}
+		return []string{label, fmt.Sprintf("o%d", i%4), fmt.Sprintf("c%d", i%2)}
+	}
+	b, err := NewBuilder(schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 255; i++ {
+		if err := b.AddRow(row(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ds, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := ds.Column(0)
+	if col.wide != nil || len(col.narrow) != ds.NumRows() {
+		t.Fatalf("a %d-label column is not stored one byte a row: %d narrow, %d wide cells", col.Dict.Len(), len(col.narrow), len(col.wide))
+	}
+	var codes []int32
+	widened := 0
+	for i := 255; i < 600; i++ {
+		wasWide := col.wide != nil
+		if err := ds.AppendRow(row(i)); err != nil {
+			t.Fatal(err)
+		}
+		if !wasWide && col.wide != nil {
+			widened++
+			if col.Dict.Len() != 256 {
+				t.Errorf("widened at %d labels, want at the 256th", col.Dict.Len())
+			}
+		}
+		if col.wide != nil && col.narrow != nil {
+			t.Fatal("a widened column kept its narrow codes")
+		}
+	}
+	if widened != 1 {
+		t.Fatalf("column widened %d times, want once", widened)
+	}
+	for r := 0; r < ds.NumRows(); r++ {
+		want := Missing
+		if l := row(r)[0]; l != MissingLabel {
+			want, _ = col.Dict.Lookup(l)
+		}
+		if got := col.Code(r); got != want {
+			t.Fatalf("row %d code %d after widening, want %d", r, got, want)
+		}
+		codes = append(codes, col.Code(r))
+	}
+	if other := ds.Column(1); other.wide != nil || len(other.narrow) != ds.NumRows() {
+		t.Fatal("widening one column widened its four-label sibling")
+	}
+	if g := ds.Gather([]int{0, 300, 5}); g.Column(0).wide == nil || g.CatCode(1, 0) != codes[300] {
+		t.Fatal("Gather lost the wide form or its codes")
+	}
+
+	// AppendRemapped: 200 labels here, 100 new ones in src; the union
+	// codes them 200–299, so the appended rows widen the column.
+	dst, src := mustBuild(t, schema, row, 0, 200), mustBuild(t, schema, row, 200, 300)
+	rm, err := dst.UnionDicts(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dst.AppendRemapped(src, rm); err != nil {
+		t.Fatal(err)
+	}
+	if dst.Column(0).wide == nil {
+		t.Fatal("AppendRemapped codes of 255 or more left the column narrow")
+	}
+	for r := 0; r < dst.NumRows(); r++ {
+		if got, want := dst.Label(r, 0), row(r)[0]; got != want {
+			t.Fatalf("merged row %d reads %q, want %q", r, got, want)
+		}
+	}
+}
+
+// mustBuild builds a dataset of rows lo..hi-1 of row.
+func mustBuild(t *testing.T, schema Schema, row func(int) []string, lo, hi int) *Dataset {
+	t.Helper()
+	b, err := NewBuilder(schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := lo; i < hi; i++ {
+		if err := b.AddRow(row(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ds, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ds
 }

@@ -63,7 +63,8 @@ func Describe(ds *Dataset) Profile {
 		if col.Kind == Categorical {
 			ap.Cardinality = col.Dict.Len()
 			counts := make([]int64, col.Dict.Len())
-			for _, code := range col.Codes {
+			for r := 0; r < col.Len(); r++ {
+				code := col.Code(r)
 				if code < 0 {
 					ap.Missing++
 					continue

@@ -147,12 +147,12 @@ func (ds *Dataset) AppendRemapped(src *Dataset, rm *Remap) error {
 			continue
 		}
 		tr := rm.Attr(i)
-		for _, code := range srcCol.Codes {
-			if code < 0 {
-				dst.Codes = append(dst.Codes, Missing)
-				continue
+		for r := 0; r < srcCol.Len(); r++ {
+			if code := srcCol.Code(r); code < 0 {
+				dst.appendCode(Missing)
+			} else {
+				dst.appendCode(tr[code])
 			}
-			dst.Codes = append(dst.Codes, tr[code])
 		}
 	}
 	ds.rows += src.rows

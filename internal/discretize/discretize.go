@@ -374,7 +374,7 @@ func Apply(ds *dataset.Dataset, d Discretizer) (*dataset.Dataset, map[string][]f
 		for i := 0; i < ds.NumAttrs(); i++ {
 			col := ds.Column(i)
 			if col.Kind == dataset.Categorical {
-				codes[i] = col.Codes[r]
+				codes[i] = col.Code(r)
 				continue
 			}
 			v := col.Values[r]

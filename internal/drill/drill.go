@@ -33,6 +33,7 @@ package drill
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -297,8 +298,10 @@ type Result struct {
 	// Measure names the measure that scored the findings.
 	Measure string `json:"measure"`
 	// Partial is set when the search stopped early because the context
-	// expired (with Options.PartialOnDeadline) or the node budget ran
-	// out; what was not explored is annotated in Unexplored.
+	// expired (with Options.PartialOnDeadline), the node budget ran out,
+	// or the source cannot count cubes over three or more attributes
+	// (engine.ErrRowsNotHeld: the search ends at depth 1); what was not
+	// explored is annotated in Unexplored.
 	Partial    bool                `json:"partial"`
 	Unexplored []compare.ItemError `json:"unexplored,omitempty"`
 
@@ -439,6 +442,14 @@ search:
 			break
 		}
 		cubes, err := p.src.Cubes(ctx, reqs)
+		if errors.Is(err, engine.ErrRowsNotHeld) {
+			// A restored source cannot count the frontier's cubes: the
+			// search stops here, labelled partial, with the cut branches
+			// listed.
+			res.Partial = true
+			annotateSites(res, sites, p.ds, err)
+			break
+		}
 		if err != nil {
 			if !opts.PartialOnDeadline || ctx.Err() == nil {
 				return nil, fmt.Errorf("drill: frontier cubes at depth %d: %w", depth, err)

@@ -12,6 +12,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -112,24 +113,43 @@ type CubeSource interface {
 	Cubes(ctx context.Context, reqs [][]int) ([]*rulecube.Cube, error)
 }
 
+// ErrRowsNotHeld is the error of a k ≥ 3 cube request on a source
+// whose counts cover rows its dataset does not hold — a store restored
+// from a snapshot or a persisted cube file. No store materializes k ≥ 3
+// cubes and they cannot be derived from pairs, so counting one over
+// the rows at hand would be an answer over the wrong population.
+var ErrRowsNotHeld = errors.New("engine: cube counts cover rows the dataset does not hold; cubes over three or more attributes cannot be counted")
+
 // Eager adapts a fully materialized rulecube.Store to CubeSource. For
 // the 1-D and 2-D cubes the store pre-materializes it performs no
 // builds: a cube the store lacks is an error, preserving the pre-PR
 // behaviour of the compare and gi layers. k ≥ 3 requests — which no
 // store materializes — are served by an internal lazy source over the
 // store's dataset, created on first use, so eager sessions get
-// drill-down with the same byte-budgeted caching as lazy ones.
+// drill-down with the same byte-budgeted caching as lazy ones. A
+// restored store (NewRestoredEager) refuses them with ErrRowsNotHeld.
 type Eager struct {
 	store *rulecube.Store
+	// restored marks a store whose counts were read, not counted from
+	// its dataset's rows.
+	restored bool
 
 	ndMu sync.Mutex
 	nd   *LazySource // lazily created for k ≥ 3 cubes
 }
 
-// NewEager wraps store. A nil store yields a source whose every cube
-// lookup errors (callers construct sources before cubes exist only in
-// tests).
+// NewEager wraps store, whose counts cover exactly its dataset's rows.
+// A nil store yields a source whose every cube lookup errors (callers
+// construct sources before cubes exist only in tests).
 func NewEager(store *rulecube.Store) *Eager { return &Eager{store: store} }
+
+// NewRestoredEager wraps a store whose counts were restored (from a
+// snapshot, shard snapshots or a persisted cube file) and so cover
+// rows its dataset does not hold: k ≥ 3 requests fail with
+// ErrRowsNotHeld.
+func NewRestoredEager(store *rulecube.Store) *Eager {
+	return &Eager{store: store, restored: true}
+}
 
 // Store returns the wrapped store, for eager-only operations
 // (persistence, baseline exploration, visual rendering).
@@ -201,6 +221,9 @@ func (e *Eager) CubeN(ctx context.Context, attrs []int) (*rulecube.Cube, error) 
 func (e *Eager) ndSource() (*LazySource, error) {
 	if e.store == nil {
 		return nil, fmt.Errorf("engine: no cube store")
+	}
+	if e.restored {
+		return nil, ErrRowsNotHeld
 	}
 	e.ndMu.Lock()
 	defer e.ndMu.Unlock()
@@ -275,12 +298,17 @@ func (e *Eager) FoldRows(ctx context.Context, lo, hi int) error {
 }
 
 // Close releases the internal k ≥ 3 cache, if one was created (see
-// LazySource.Close). The store itself holds no shared accounting.
+// LazySource.Close), and forgets it: a later k ≥ 3 request counts
+// afresh over the dataset's rows. The store itself holds no shared
+// accounting. A session that changes the store's counts without
+// folding rows through FoldRows (a shard merge) closes the source so
+// no stale k ≥ 3 cube outlives the change.
 func (e *Eager) Close() {
 	e.ndMu.Lock()
 	defer e.ndMu.Unlock()
 	if e.nd != nil {
 		e.nd.Close()
+		e.nd = nil
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"sync"
@@ -44,16 +45,17 @@ const batchShardRows = 1 << 16
 // every pair with the same head shares (see pairHead). The head is the
 // request's first attribute unless flip is set: then the request was
 // (b, a), and extraction transposes back to that dimension order. Slot
-// 0 of each condition dimension catches missing values (code -1 lands
-// there via the +1 shift), which keeps the inner loop branch-free and —
-// since a row with a present class is counted *somewhere* in the array
-// — lets extraction marginalize a dimension across all its slots to
+// 0 of each condition dimension catches missing values — a column
+// stores each code shifted by one, so a stored code is its slot and a
+// missing value's is 0 — which keeps the inner loop branch-free and,
+// since a row with a present class is counted *somewhere* in the array,
+// lets extraction marginalize a dimension across all its slots to
 // reproduce the other dimension's exact 1-D cube without extra scan
 // work.
 type pairPlan struct {
 	a, b       int
 	flip       bool // the requested cube is (b, a)
-	colB       []int32
+	colB       codes
 	dimA, dimB int
 	strideB    int // (dimA+1) * numClasses
 	scratch    []int64
@@ -67,7 +69,7 @@ type pairPlan struct {
 // land under one head.
 type pairHead struct {
 	a     int
-	col   []int32
+	col   codes
 	pairs []int // indices into batchPlan.pairs
 }
 
@@ -75,7 +77,7 @@ type pairHead struct {
 // scratch is (dim+1) × numClasses with the same missing slot 0.
 type onePlan struct {
 	a       int
-	col     []int32
+	col     codes
 	dim     int
 	scratch []int64
 }
@@ -86,7 +88,7 @@ type onePlan struct {
 // inner loop stays branch-free at any arity.
 type kPlan struct {
 	attrs   []int
-	cols    [][]int32
+	cols    []codes
 	dims    []int
 	strides []int // strides[i] = numClasses × Π_{j>i}(dims[j]+1)
 	scratch []int64
@@ -209,7 +211,7 @@ func countRange(ctx context.Context, ds *dataset.Dataset, reqs [][]int, lo, hi i
 	if err != nil {
 		return nil, 0, err
 	}
-	if err := scanAll(ctx, ds.Column(ds.ClassIndex()).Codes, plan, lo, hi); err != nil {
+	if err := scanAll(ctx, plan, lo, hi); err != nil {
 		return nil, 0, err
 	}
 	return extractAll(ds, reqs, plan), plan.slots, nil
@@ -222,6 +224,7 @@ func countRange(ctx context.Context, ds *dataset.Dataset, reqs [][]int, lo, hi i
 // scratch is a window of one backing array, buf.
 type batchPlan struct {
 	nc     int
+	cls    codes // the class column
 	pairs  []pairPlan
 	heads  []pairHead
 	ones   []onePlan
@@ -229,7 +232,9 @@ type batchPlan struct {
 	routes []route // one per request, in request order
 	slots  int     // distinct cubes
 	buf    []int64
-	idx    []int // scanRange's per-row partial cell indexes of one block
+	// scanRange's per-row terms of one block: each row's class term,
+	// and the partial cell index built on it.
+	ct, idx []int
 }
 
 // kKey is the dedup key of a k-D request: its exact ordered dimension
@@ -326,7 +331,7 @@ func (p *batchPlan) addPair(ds *dataset.Dataset, nc int, k [2]int, flip bool) {
 
 // addK registers the k-D plan for the ordered list attrs.
 func (p *batchPlan) addK(ds *dataset.Dataset, nc int, attrs []int) error {
-	kp := kPlan{attrs: append([]int(nil), attrs...), cols: make([][]int32, len(attrs))}
+	kp := kPlan{attrs: append([]int(nil), attrs...), cols: make([]codes, len(attrs))}
 	cells := int64(nc)
 	for _, a := range attrs {
 		d := cubeDim(ds, a)
@@ -386,22 +391,23 @@ func (p *batchPlan) eachScratch(f func(scratch *[]int64, cells int)) {
 	}
 }
 
-// bind points the plan's column slices at ds's current columns.
-// Appending rows can move a column's backing array, so a plan kept
-// across folds rebinds before each scan.
+// bind points the plan's columns at ds's current stored codes.
+// Appending rows can move a column's backing array or widen it, so a
+// plan kept across folds rebinds before each scan.
 func (p *batchPlan) bind(ds *dataset.Dataset) {
+	p.cls = storedCodes(ds, ds.ClassIndex())
 	for i := range p.heads {
-		p.heads[i].col = ds.Column(p.heads[i].a).Codes
+		p.heads[i].col = storedCodes(ds, p.heads[i].a)
 	}
 	for i := range p.pairs {
-		p.pairs[i].colB = ds.Column(p.pairs[i].b).Codes
+		p.pairs[i].colB = storedCodes(ds, p.pairs[i].b)
 	}
 	for i := range p.ones {
-		p.ones[i].col = ds.Column(p.ones[i].a).Codes
+		p.ones[i].col = storedCodes(ds, p.ones[i].a)
 	}
 	for i := range p.ks {
 		for d, a := range p.ks[i].attrs {
-			p.ks[i].cols[d] = ds.Column(a).Codes
+			p.ks[i].cols[d] = storedCodes(ds, a)
 		}
 	}
 }
@@ -470,14 +476,14 @@ func findPairFor(pairs []pairPlan, a int) [2]int {
 // amortize the per-shard scratch (counts are additive; shard partials
 // merge by summation). Every shard observes ctx between row blocks; a
 // canceled scan returns ctx.Err() once all shards have stopped.
-func scanAll(ctx context.Context, classCol []int32, plan *batchPlan, lo, hi int) error {
+func scanAll(ctx context.Context, plan *batchPlan, lo, hi int) error {
 	rows := hi - lo
 	shards := runtime.GOMAXPROCS(0)
 	if max := rows / batchShardRows; shards > max {
 		shards = max
 	}
 	if shards <= 1 {
-		return scanRange(ctx, classCol, plan, lo, hi)
+		return scanRange(ctx, plan, lo, hi)
 	}
 	parts := plan.shardPlans(shards)
 	var wg sync.WaitGroup
@@ -492,7 +498,7 @@ func scanAll(ctx context.Context, classCol []int32, plan *batchPlan, lo, hi int)
 		wg.Add(1)
 		go func(s int, part *batchPlan, slo, shi int) {
 			defer wg.Done()
-			errs[s] = scanRange(ctx, classCol, part, slo, shi)
+			errs[s] = scanRange(ctx, part, slo, shi)
 		}(s, part, slo, shi)
 	}
 	wg.Wait()
@@ -518,6 +524,7 @@ func (p *batchPlan) shardPlans(shards int) []*batchPlan {
 	for len(parts) < shards {
 		q := &batchPlan{
 			nc:    p.nc,
+			cls:   p.cls,
 			pairs: append([]pairPlan(nil), p.pairs...),
 			heads: p.heads,
 			ones:  append([]onePlan(nil), p.ones...),
@@ -530,124 +537,220 @@ func (p *batchPlan) shardPlans(shards int) []*batchPlan {
 }
 
 // scanBlockRows sizes the row blocks of the shared scan: small enough
-// that a block's class and value columns stay cache-resident while
+// that a block's columns and per-row terms stay cache-resident while
 // every plan tallies it, large enough to amortize the per-plan loop
-// setup. 2048 rows × 4 bytes = 8 KiB per column touched.
+// setup. 2048 rows are 2 KiB of a narrow column and 16 KiB of terms.
 const scanBlockRows = 2048
 
 // scanRange is the shared scan's inner loop over rows [lo, hi) — the
 // only code that adds rows into cube cells. Each row with a present
-// class bumps exactly one cell per plan. The +1 shift routes a missing
-// value (code -1) to slot 0, so the loop has no per-plan branch;
-// extraction drops (or marginalizes over) that slot. Rows are processed
+// class bumps exactly one cell per plan. Stored codes are already
+// slots (a missing value's is 0), so the loop has no per-plan branch;
+// extraction drops (or marginalizes over) slot 0. Rows are processed
 // in blocks with the plan loop outside the row loop, so each plan's
 // column/scratch pointers hoist out of the hot loop and the block's
-// columns are revisited while still in cache. Pairs sharing a head
-// attribute compute its (a, class) term once per block and each adds
-// only its b term; a head with a lone pair runs one fused loop. Heads
-// are chosen by planBatch (the more frequent attribute of each pair)
-// and work in plan coordinates, so a flipped pair scans exactly like
-// any other; only extraction knows its requested order. A k ≥ 3 plan
-// indexes one column at a time — each dimension adds its stride term
-// across the whole block, then one pass increments — instead of
-// walking every dimension per row. ctx is checked before each block.
-func scanRange(ctx context.Context, classCol []int32, plan *batchPlan, lo, hi int) error {
-	nc, pairs, ones, ks := plan.nc, plan.pairs, plan.ones, plan.ks
-	if plan.idx == nil && (len(ks) > 0 || len(plan.heads) < len(pairs)) {
-		plan.idx = make([]int, scanBlockRows)
-	}
-	idx := plan.idx
+// columns are revisited while still in cache. A block's class column
+// becomes per-row class terms once, when a plan first needs them, and
+// plans build their cell indexes on those terms; a missing class's
+// term stays negative through every addition, and a row is counted
+// only when its index is not. Pairs sharing a head attribute compute
+// their (a, class) term once per block and each adds only its b term,
+// two pairs per pass; a head's lone pair runs one fused loop instead
+// when its class, head and partner columns share a width. A 1-D plan
+// adds its column straight onto the class terms. Heads are chosen by
+// planBatch (the
+// more frequent attribute of each pair) and work in plan coordinates,
+// so a flipped pair scans exactly like any other; only extraction
+// knows its requested order. A k ≥ 3 plan indexes one column at a time
+// — each dimension adds its stride term across the whole block, and
+// the last one counts. Every loop runs over one column's stored form,
+// chosen once per block (see codes). ctx is checked before each block.
+func scanRange(ctx context.Context, plan *batchPlan, lo, hi int) error {
+	nc, pairs := plan.nc, plan.pairs
 	for blo := lo; blo < hi; blo += scanBlockRows {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		bhi := blo + scanBlockRows
-		if bhi > hi {
-			bhi = hi
-		}
-		cls := classCol[blo:bhi]
-		for _, h := range plan.heads {
-			if len(h.pairs) == 1 {
-				p := &pairs[h.pairs[0]]
-				colA, colB := h.col[blo:bhi], p.colB[blo:bhi]
-				scratch, strideB := p.scratch, p.strideB
-				for r, cl := range cls {
-					if cl < 0 {
-						continue
-					}
-					scratch[(int(colB[r])+1)*strideB+(int(colA[r])+1)*nc+int(cl)]++
+		n := min(scanBlockRows, hi-blo)
+		var ct, ix []int
+		// terms returns the block's class terms and index scratch,
+		// computing the terms on first use.
+		terms := func() ([]int, []int) {
+			if ct == nil {
+				if plan.ct == nil {
+					plan.ct, plan.idx = make([]int, scanBlockRows), make([]int, scanBlockRows)
 				}
+				ct, ix = plan.ct[:n], plan.idx[:n]
+				plan.cls.classTerms(ct, blo)
+			}
+			return ct, ix
+		}
+		for _, h := range plan.heads {
+			if len(h.pairs) == 1 && countLone(plan.cls, h.col, &pairs[h.pairs[0]], blo, n, nc) {
 				continue
 			}
-			// The shared (a, class) term; -1 marks a missing class.
-			ix := idx[:len(cls)]
-			for r, v := range h.col[blo:bhi] {
-				ix[r] = -1
-				if cl := cls[r]; cl >= 0 {
-					ix[r] = (int(v)+1)*nc + int(cl)
-				}
-			}
-			// Pairs under one head share strideB. Two pairs per pass over
-			// the block halve the shared-term loads and missing-class
-			// checks per increment; the [:len(ix)] reslices let the
-			// compiler drop the column bounds checks.
+			ct, ix := terms()
+			h.col.addTerms(ix, ct, blo, nc)
+			// Pairs under one head share strideB.
 			strideB := pairs[h.pairs[0]].strideB
 			hp := h.pairs
 			for ; len(hp) >= 2; hp = hp[2:] {
-				p, q := &pairs[hp[0]], &pairs[hp[1]]
-				colP, colQ := p.colB[blo:bhi][:len(ix)], q.colB[blo:bhi][:len(ix)]
-				sp, sq := p.scratch, q.scratch
-				for r, t := range ix {
-					if t < 0 {
-						continue
-					}
-					sp[(int(colP[r])+1)*strideB+t]++
-					sq[(int(colQ[r])+1)*strideB+t]++
-				}
+				tallyTwo(&pairs[hp[0]], &pairs[hp[1]], ix, blo, strideB)
 			}
 			for _, i := range hp {
-				p := &pairs[i]
-				colB, scratch := p.colB[blo:bhi][:len(ix)], p.scratch
-				for r, t := range ix {
-					if t < 0 {
-						continue
-					}
-					scratch[(int(colB[r])+1)*strideB+t]++
-				}
+				pairs[i].colB.tally(pairs[i].scratch, ix, blo, strideB)
 			}
 		}
-		for i := range ones {
-			o := &ones[i]
-			col, scratch := o.col[blo:bhi], o.scratch
-			for r, cl := range cls {
-				if cl < 0 {
-					continue
-				}
-				scratch[(int(col[r])+1)*nc+int(cl)]++
-			}
+		for i := range plan.ones {
+			o := &plan.ones[i]
+			ct, _ := terms()
+			o.col.tally(o.scratch, ct, blo, nc)
 		}
-		for i := range ks {
-			kp := &ks[i]
-			ix := idx[:len(cls)]
-			for r, cl := range cls {
-				ix[r] = int(cl)
+		for i := range plan.ks {
+			kp := &plan.ks[i]
+			last := len(kp.cols) - 1
+			ct, ix := terms()
+			kp.cols[0].addTerms(ix, ct, blo, kp.strides[0])
+			for d := 1; d < last; d++ {
+				kp.cols[d].addTerms(ix, ix, blo, kp.strides[d])
 			}
-			for d, col := range kp.cols {
-				stride := kp.strides[d]
-				for r, v := range col[blo:bhi] {
-					ix[r] += (int(v) + 1) * stride
-				}
-			}
-			scratch := kp.scratch
-			for r, cl := range cls {
-				if cl < 0 {
-					continue
-				}
-				scratch[ix[r]]++
-			}
+			kp.cols[last].tally(kp.scratch, ix, blo, kp.strides[last])
 		}
 	}
 	return nil
+}
+
+// codes is a bound column's stored codes (dataset.Column.Stored): wide
+// once the column has widened past one byte a cell, narrow before. Its
+// methods pick the loop for the column's width once per call — once
+// per block and plan — never per row.
+type codes struct {
+	narrow []uint8
+	wide   []uint32
+}
+
+// storedCodes returns attribute a's stored codes as ds holds them now.
+func storedCodes(ds *dataset.Dataset, a int) codes {
+	narrow, wide := ds.Column(a).Stored()
+	return codes{narrow, wide}
+}
+
+// storedCode is the element type of a column's stored codes; each
+// kernel loop has one instantiation per width.
+type storedCode interface{ uint8 | uint32 }
+
+// missingTerm is the term of a row with a missing class. Adding the
+// terms of any cube's dimensions (each below the scratch size, at most
+// maxBatchScratchCells) leaves it negative.
+const missingTerm = math.MinInt / 2
+
+// classTerms sets ct[r] to the class slot of block row r — code, not
+// shifted — or missingTerm when the class is missing.
+func (c codes) classTerms(ct []int, blo int) {
+	if c.wide != nil {
+		classTerms(ct, c.wide[blo:])
+		return
+	}
+	classTerms(ct, c.narrow[blo:])
+}
+
+func classTerms[T storedCode](ct []int, cls []T) {
+	cls = cls[:len(ct)]
+	for r, cl := range cls {
+		t := missingTerm
+		if cl != 0 {
+			t = int(cl) - 1
+		}
+		ct[r] = t
+	}
+}
+
+// addTerms sets dst[r] = src[r] + slot*stride for each row r of the
+// block starting at blo; dst and src may be the same slice.
+func (c codes) addTerms(dst, src []int, blo, stride int) {
+	if c.wide != nil {
+		addTerms(dst, src, c.wide[blo:], stride)
+		return
+	}
+	addTerms(dst, src, c.narrow[blo:], stride)
+}
+
+func addTerms[T storedCode](dst, src []int, col []T, stride int) {
+	src, col = src[:len(dst)], col[:len(dst)]
+	for r, v := range col {
+		dst[r] = src[r] + int(v)*stride
+	}
+}
+
+// tally bumps scratch[slot*stride + ix[r]] for each row r of the block
+// starting at blo whose index ix[r] is not negative.
+func (c codes) tally(scratch []int64, ix []int, blo, stride int) {
+	if c.wide != nil {
+		tally(scratch, ix, c.wide[blo:], stride)
+		return
+	}
+	tally(scratch, ix, c.narrow[blo:], stride)
+}
+
+func tally[T storedCode](scratch []int64, ix []int, col []T, stride int) {
+	col = col[:len(ix)]
+	for r, t := range ix {
+		if t < 0 {
+			continue
+		}
+		scratch[int(col[r])*stride+t]++
+	}
+}
+
+// countLone tallies a head's lone pair in one fused pass over the
+// block's class, head and partner codes, and reports true; when the
+// three columns differ in width it counts nothing and reports false.
+func countLone(cls, colA codes, p *pairPlan, blo, n, nc int) bool {
+	switch {
+	case cls.wide == nil && colA.wide == nil && p.colB.wide == nil:
+		countPair(p.scratch, cls.narrow[blo:blo+n], colA.narrow[blo:], p.colB.narrow[blo:], nc, p.strideB)
+	case cls.wide != nil && colA.wide != nil && p.colB.wide != nil:
+		countPair(p.scratch, cls.wide[blo:blo+n], colA.wide[blo:], p.colB.wide[blo:], nc, p.strideB)
+	default:
+		return false
+	}
+	return true
+}
+
+func countPair[T storedCode](scratch []int64, cls, colA, colB []T, nc, strideB int) {
+	colA, colB = colA[:len(cls)], colB[:len(cls)]
+	for r, cl := range cls {
+		if cl == 0 {
+			continue
+		}
+		scratch[int(colB[r])*strideB+int(colA[r])*nc+int(cl)-1]++
+	}
+}
+
+// tallyTwo tallies two pairs under one head in one pass over the
+// block, which halves the shared-term loads and missing-class checks
+// per increment; partners of different widths tally one at a time.
+func tallyTwo(p, q *pairPlan, ix []int, blo, stride int) {
+	switch {
+	case p.colB.wide == nil && q.colB.wide == nil:
+		tally2(p.scratch, q.scratch, ix, p.colB.narrow[blo:], q.colB.narrow[blo:], stride)
+	case p.colB.wide != nil && q.colB.wide != nil:
+		tally2(p.scratch, q.scratch, ix, p.colB.wide[blo:], q.colB.wide[blo:], stride)
+	default:
+		p.colB.tally(p.scratch, ix, blo, stride)
+		q.colB.tally(q.scratch, ix, blo, stride)
+	}
+}
+
+func tally2[T storedCode](sp, sq []int64, ix []int, colP, colQ []T, stride int) {
+	colP, colQ = colP[:len(ix)], colQ[:len(ix)]
+	for r, t := range ix {
+		if t < 0 {
+			continue
+		}
+		sp[int(colP[r])*stride+t]++
+		sq[int(colQ[r])*stride+t]++
+	}
 }
 
 // newCubeHeader builds an empty cube over attrs with the dataset's

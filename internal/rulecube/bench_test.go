@@ -1,6 +1,7 @@
 package rulecube_test
 
 import (
+	"context"
 	"testing"
 
 	"opmap/internal/rulecube"
@@ -54,6 +55,45 @@ func BenchmarkCubeDice(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := cube.Dice(0, values); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkBuildManyCompare times the counting kernel on a compare's
+// working set at the lazy-wide serving shape: a 30k-row, 146-attribute
+// call log, one split attribute's 1-D cube plus its pair cube with 12
+// candidates, pairs in ascending attribute order as lazy sources
+// request them. Each iteration takes the next 12 candidates, so the
+// columns a scan reads were last touched about ten scans earlier and
+// come from beyond the L2 cache, as they do when a cube cache a
+// quarter the size of the pair cubes keeps missing.
+func BenchmarkBuildManyCompare(b *testing.B) {
+	ds, gt, err := workload.CallLog(workload.CallLogConfig{Seed: 1, Records: 30000, NumPhones: 8, NoiseAttrs: 140})
+	if err != nil {
+		b.Fatal(err)
+	}
+	split := ds.AttrIndex(gt.PhoneAttr)
+	var cands []int
+	for a := 0; a < ds.NumAttrs(); a++ {
+		if a != split && a != ds.ClassIndex() {
+			cands = append(cands, a)
+		}
+	}
+	const perCompare = 12
+	var sets [][][]int
+	for lo := 0; lo+perCompare <= len(cands); lo += perCompare {
+		reqs := [][]int{{split}}
+		for _, c := range cands[lo : lo+perCompare] {
+			reqs = append(reqs, []int{min(split, c), max(split, c)})
+		}
+		sets = append(sets, reqs)
+	}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := rulecube.BuildMany(ctx, ds, sets[i%len(sets)]); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -106,7 +106,7 @@ func (f *folder) fold(ctx context.Context, lo, hi int) error {
 		return err
 	}
 	defer clear(f.plan.buf)
-	if err := scanAll(ctx, f.ds.Column(f.ds.ClassIndex()).Codes, f.plan, lo, hi); err != nil {
+	if err := scanAll(ctx, f.plan, lo, hi); err != nil {
 		return err
 	}
 	f.plan.extractInto(f.cubes)

@@ -284,10 +284,7 @@ func toCompareResponse(cmp *opmap.Comparison, top int) *compareResponse {
 		Partial:  cmp.Partial,
 		Unscored: toItemErrors(cmp.Unscored),
 	}
-	for i, sc := range cmp.Ranked() {
-		if i >= top {
-			break
-		}
+	for _, sc := range cmp.Top(top) {
 		resp.Ranked = append(resp.Ranked, toScoreEntry(sc))
 	}
 	for i, sc := range cmp.PropertyAttributes() {

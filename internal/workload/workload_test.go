@@ -302,3 +302,19 @@ func TestCallLogMissingRate(t *testing.T) {
 		}
 	}
 }
+
+// TestCallLogColumnsOneByte: every column of the served call-log
+// shapes (eight phones, up to 140 noise attributes) has few enough
+// labels to be stored one byte a cell, which is what the resident
+// memory of a call-log session rests on.
+func TestCallLogColumnsOneByte(t *testing.T) {
+	ds, _, err := CallLog(CallLogConfig{Seed: 1, Records: 3000, NumPhones: 8, NoiseAttrs: 140})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for a := 0; a < ds.NumAttrs(); a++ {
+		if _, wide := ds.Column(a).Stored(); wide != nil {
+			t.Errorf("attribute %s (%d labels) is stored wide", ds.Attr(a).Name, ds.Cardinality(a))
+		}
+	}
+}

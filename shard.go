@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"opmap/internal/engine"
 	"opmap/internal/obsv"
 	"opmap/internal/snapshot"
 )
@@ -208,6 +209,11 @@ func (s *Session) mergeFromLocked(o *Session) error {
 	if err := s.store.Merge(o.store); err != nil {
 		return err
 	}
+	// The store now counts o's rows too; resident k ≥ 3 cubes do not,
+	// and folding the appended rows into the store again would count
+	// them twice. Dropping the k ≥ 3 cubes makes the next drill count
+	// them over the merged rows.
+	s.src.(*engine.Eager).Close()
 	rm, err := s.ds.UnionDicts(o.ds)
 	if err != nil {
 		s.dropEngine()

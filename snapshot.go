@@ -145,7 +145,7 @@ func sessionFromSnapshot(snap *snapshot.Snapshot) (*Session, error) {
 		rowsHint:  snap.Rows,
 		ingestSeq: snap.IngestSeq,
 		store:     snap.Store,
-		src:       engine.NewEager(snap.Store),
+		src:       engine.NewRestoredEager(snap.Store),
 		results:   engine.NewResultCache(0),
 	}, nil
 }
